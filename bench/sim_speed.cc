@@ -4,10 +4,10 @@
  * instructions/second on a 1-GHz Pentium III for a multi-user
  * interactive (TPC-C) trace in UP configuration. This measures our
  * model's simulated-instructions-per-second on the same kind of
- * workload — each configuration twice, with the reference per-cycle
- * loop and with the skip-ahead kernel, so BENCH_sim_speed.json
- * records per-workload KIPS for both scheduling modes plus the
- * skip-ahead speedup.
+ * workload — each configuration twice, with the plain per-cycle
+ * reference loop and with the fast engine (skip-ahead, memoized
+ * quiescence, deferred idle ticks), so BENCH_sim_speed.json records
+ * per-workload KIPS for both plus the fast engine's speedup.
  */
 
 #include <chrono>
@@ -28,69 +28,42 @@ namespace
 {
 
 /**
- * One hot-cycle-engine configuration measured by the bench. The
- * struct-of-arrays scan layouts are unconditional (they are the data
- * structures themselves), so "plain" is the per-cycle reference loop
- * over the SoA model and the remaining modes ablate the kernel
- * layers on top of it.
- */
-struct EngineMode
-{
-    const char *name; ///< metric-key suffix.
-    bool skip;        ///< skip-ahead scheduling.
-    bool flat;        ///< devirtualized type-partitioned dispatch.
-    bool memo;        ///< quiescence memoization in skipTarget().
-};
-
-constexpr EngineMode kPlain{"plain", false, false, false};
-/** The reference skip-ahead engine: virtual fan-out, no memo. */
-constexpr EngineMode kSkipBase{"skip_base", true, false, false};
-constexpr EngineMode kSkipFlat{"skip_flat", true, true, false};
-constexpr EngineMode kSkipMemo{"skip_memo", true, false, true};
-/** The full hot-cycle engine (the shipping default). */
-constexpr EngineMode kSkipFull{"skip", true, true, true};
-
-/**
- * KIPS per finished variant, keyed "<workload>_<mode>". When a
- * non-plain mode of a workload lands, its speedup-vs-plain metric is
- * derived — the benchmark registration order (plain first per
- * workload) guarantees the plain number exists by then. The full
- * engine keeps the legacy "<workload>_speedup" key; ablation modes
- * record "<workload>_<mode>_speedup".
+ * KIPS of the plain loop per workload, recorded when its row
+ * finishes; the benchmark registration order (plain first per
+ * workload) guarantees it exists when the fast-engine row derives
+ * "<workload>_speedup" from it.
  */
 std::map<std::string, double> &
-kipsByVariant()
+plainKips()
 {
     static std::map<std::string, double> m;
     return m;
 }
 
 void
-recordVariant(const std::string &workload, const EngineMode &mode,
-              double kips)
+recordVariant(const std::string &workload, bool skip, double kips)
 {
-    kipsByVariant()[workload + "_" + mode.name] = kips;
-    obs::setBenchMetric(workload + "_" + mode.name + "_kips", kips);
-    if (std::string(mode.name) == "plain")
+    obs::setBenchMetric(workload + (skip ? "_skip_kips" : "_plain_kips"),
+                        kips);
+    if (!skip) {
+        plainKips()[workload] = kips;
         return;
-    const auto plain = kipsByVariant().find(workload + "_plain");
-    if (plain == kipsByVariant().end() || plain->second <= 0.0)
-        return;
-    const std::string key = std::string(mode.name) == "skip"
-        ? workload + "_speedup"
-        : workload + "_" + mode.name + "_speedup";
-    obs::setBenchMetric(key, kips / plain->second);
+    }
+    const auto plain = plainKips().find(workload);
+    if (plain != plainKips().end() && plain->second > 0.0)
+        obs::setBenchMetric(workload + "_speedup", kips / plain->second);
 }
 
 /**
  * Run @p instrs_per_cpu instructions of @p profile on an
  * @p num_cpus-way sparc64vBase machine once per iteration, timing
- * only the model runs (trace synthesis is hoisted out).
+ * only the model runs (trace synthesis is hoisted out). @p skip
+ * selects the fast engine, otherwise the plain per-cycle loop.
  */
 void
 simSpeed(benchmark::State &state, const WorkloadProfile &profile,
          unsigned num_cpus, std::size_t instrs_per_cpu,
-         EngineMode mode, const char *workload)
+         bool skip, const char *workload)
 {
     TraceGenerator gen(profile, num_cpus);
     std::vector<std::shared_ptr<const InstrTrace>> traces;
@@ -101,9 +74,7 @@ simSpeed(benchmark::State &state, const WorkloadProfile &profile,
     double run_seconds = 0.0;
     for (auto _ : state) {
         MachineParams mp = sparc64vBase(num_cpus);
-        mp.sys.skipAhead = mode.skip;
-        mp.sys.flatDispatch = mode.flat;
-        mp.sys.memoQuiescence = mode.memo;
+        mp.sys.skipAhead = skip;
         PerfModel m(mp);
         for (CpuId c = 0; c < num_cpus; ++c)
             m.loadTrace(c, traces[c]);
@@ -124,7 +95,7 @@ simSpeed(benchmark::State &state, const WorkloadProfile &profile,
     state.counters["KIPS"] = benchmark::Counter(
         total_kinstr, benchmark::Counter::kIsRate);
     if (run_seconds > 0.0)
-        recordVariant(workload, mode, total_kinstr / run_seconds);
+        recordVariant(workload, skip, total_kinstr / run_seconds);
 }
 
 void
@@ -142,37 +113,25 @@ BM_TraceGeneration(benchmark::State &state)
 
 } // namespace
 
-// Plain before the engine modes per workload: recordVariant()
-// derives speedups against the plain number as each mode completes.
-// tpcc_smp4 additionally runs the per-layer ablation matrix — the
-// SMP case is where attribution matters (memoization is what turns
-// the idle-core quiescence scan from O(cores x window) into O(1)).
+// Plain before the fast engine per workload: recordVariant()
+// derives each speedup against the plain number.
 BENCHMARK_CAPTURE(simSpeed, tpcc_up_plain, tpccProfile(), 1, 30000,
-                  kPlain, "tpcc_up")
+                  false, "tpcc_up")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(simSpeed, tpcc_up_skip, tpccProfile(), 1, 30000,
-                  kSkipFull, "tpcc_up")
+                  true, "tpcc_up")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(simSpeed, specint_up_plain, specint2000Profile(),
-                  1, 30000, kPlain, "specint_up")
+                  1, 30000, false, "specint_up")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(simSpeed, specint_up_skip, specint2000Profile(),
-                  1, 30000, kSkipFull, "specint_up")
+                  1, 30000, true, "specint_up")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(simSpeed, tpcc_smp4_plain, tpccProfile(), 4, 8000,
-                  kPlain, "tpcc_smp4")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(simSpeed, tpcc_smp4_skip_base, tpccProfile(), 4,
-                  8000, kSkipBase, "tpcc_smp4")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(simSpeed, tpcc_smp4_skip_flat, tpccProfile(), 4,
-                  8000, kSkipFlat, "tpcc_smp4")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(simSpeed, tpcc_smp4_skip_memo, tpccProfile(), 4,
-                  8000, kSkipMemo, "tpcc_smp4")
+                  false, "tpcc_smp4")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(simSpeed, tpcc_smp4_skip, tpccProfile(), 4, 8000,
-                  kSkipFull, "tpcc_smp4")
+                  true, "tpcc_smp4")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceGeneration)->Arg(50000)
     ->Unit(benchmark::kMillisecond);

@@ -9,30 +9,21 @@ namespace s64v::chaos
 namespace
 {
 
-/** -1 = no override (build flag / environment decide), else 0/1. */
+/** -1 = no override (the environment decides), else 0/1. */
 std::atomic<int> seededBugOverride{-1};
-
-bool
-seededBugDefault()
-{
-#ifdef S64V_CHAOS_SEEDED_BUG
-    return true;
-#else
-    return std::getenv("S64V_CHAOS_SEEDED_BUG") != nullptr;
-#endif
-}
 
 } // namespace
 
 bool
 seededBugArmed()
 {
-    // Relaxed: the gate sits on the cache-hit path, and arming is a
+    // Relaxed: the gate sits on the cache-miss path, and arming is a
     // test-setup action, not something raced against live lookups.
     const int v = seededBugOverride.load(std::memory_order_relaxed);
     if (v >= 0)
         return v != 0;
-    static const bool armed = seededBugDefault();
+    static const bool armed =
+        std::getenv("S64V_CHAOS_SEEDED_BUG") != nullptr;
     return armed;
 }
 

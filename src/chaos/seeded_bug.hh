@@ -9,13 +9,11 @@
  * invariant without perturbing timing, so the campaign must detect it
  * and the shrinker must reduce it to a minimal reproducer.
  *
- * Three ways to arm it, strongest first:
+ * Two ways to arm it, strongest first:
  *   1. setSeededBug(true/false) — explicit programmatic override,
  *      used by the in-process mutation test in the default suite.
- *   2. Building with -DS64V_CHAOS_SEEDED_BUG (CMake option
- *      S64V_CHAOS_SEEDED_BUG=ON) — the "broken build" the seeded
- *      campaign preset runs against.
- *   3. The S64V_CHAOS_SEEDED_BUG environment variable (any value).
+ *   2. The S64V_CHAOS_SEEDED_BUG environment variable (any value),
+ *      read once per process.
  */
 
 #ifndef S64V_CHAOS_SEEDED_BUG_HH
@@ -27,10 +25,10 @@ namespace s64v::chaos
 /** Whether the seeded defect is live (see file comment). */
 bool seededBugArmed();
 
-/** Arm/disarm explicitly, overriding build flag and environment. */
+/** Arm/disarm explicitly, overriding the environment. */
 void setSeededBug(bool armed);
 
-/** Drop the setSeededBug() override; build flag/environment rule. */
+/** Drop the setSeededBug() override; the environment rules. */
 void clearSeededBugOverride();
 
 } // namespace s64v::chaos

@@ -125,8 +125,7 @@ SnapshotWriter::putU64Vec(const std::vector<std::uint64_t> &v)
 std::vector<std::uint8_t>
 SnapshotWriter::finish(const std::string &model_version) const
 {
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+    std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
     appendLe(out, kSnapshotFormatVersion, 4);
     appendLe(out, sections_.size(), 4);
     appendString(out, model_version);
@@ -257,6 +256,13 @@ SnapshotReader::parse()
     const std::size_t count = static_cast<std::size_t>(readLe(4));
     modelVersion_ = readString("model version");
 
+    // Bound the count by the bytes left before reserving: a section
+    // record is at least 20 bytes (4-byte name length, 8-byte size,
+    // 8-byte checksum), so a corrupt count cannot ask for more
+    // memory than the file could describe.
+    if (count > (bytes_.size() - cursor_) / 20)
+        corrupt("section count " + std::to_string(count) +
+                " exceeds what the remaining bytes can hold");
     sections_.clear();
     sections_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {

@@ -99,12 +99,13 @@ class Core : public Clocked
     const char *profileClass() const override { return "core"; }
 
     /**
-     * Monotone activity stamp for the kernel's quiescence
-     * memoization (see CycleKernel::setMemoQuiescence): the sum of
-     * the per-unit activity counters, bumped by every state
-     * transition a tick makes. An unchanged stamp across ticks
-     * proves the pipeline state is frozen, so a cached
-     * nextWorkCycle() answer is still a valid lower bound.
+     * Monotone activity stamp for the fast engine's quiescence
+     * memoization and idle-tick deferral (see
+     * CycleKernel::setSkipAhead): the sum of the per-unit activity
+     * counters, bumped by every state transition a tick makes. An
+     * unchanged stamp across ticks proves the pipeline state is
+     * frozen, so a cached nextWorkCycle() answer is still a valid
+     * lower bound and an idle tick may be deferred.
      */
     std::uint64_t activityStamp() const override
     {

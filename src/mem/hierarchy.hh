@@ -29,11 +29,11 @@ namespace s64v
 struct MemParams
 {
     CacheParams l1i{.name = "l1i", .sizeBytes = 128 << 10, .assoc = 2,
-                    .latency = 4, .mshrs = 4};
+                    .latency = 4, .mshrs = 4, .ras = {}};
     CacheParams l1d{.name = "l1d", .sizeBytes = 128 << 10, .assoc = 2,
-                    .latency = 4, .mshrs = 16};
+                    .latency = 4, .mshrs = 16, .ras = {}};
     CacheParams l2{.name = "l2", .sizeBytes = 2 << 20, .assoc = 4,
-                   .latency = 12, .mshrs = 12};
+                   .latency = 12, .mshrs = 12, .ras = {}};
     TlbParams itlb{.entries = 256, .assoc = 4};
     TlbParams dtlb{.entries = 512, .assoc = 4};
     BusParams bus;

@@ -72,31 +72,19 @@ struct SystemParams
      */
     std::uint64_t watchdogCycles = check::kDefaultWatchdogCycles;
     /**
-     * Skip-ahead scheduling: when every core is quiescent, the cycle
-     * kernel jumps straight to the next cycle any component or probe
-     * can act, bulk-attributing the elided cycles to the stats the
-     * per-cycle loop would have produced. Bit-identical to plain
-     * ticking by contract (chaos invariant "skipahead-identity");
-     * --no-skip-ahead selects the plain loop.
+     * The fast engine: when every core is quiescent, the cycle kernel
+     * jumps straight to the next cycle any component or probe can
+     * act, bulk-attributing the elided cycles to the stats the
+     * per-cycle loop would have produced; quiescence answers are
+     * memoized and provably idle cores skip their ticks (see
+     * CycleKernel::setSkipAhead). Bit-identical to plain ticking by
+     * contract (chaos invariant "skipahead-identity");
+     * --no-skip-ahead selects the plain reference loop.
      */
     bool skipAhead = true;
-    /**
-     * Type-partitioned tick dispatch: the kernel ticks the cores
-     * through a devirtualized homogeneous loop instead of the
-     * per-component virtual fan-out. Dispatch order is preserved, so
-     * results are bit-identical by construction (asserted by the
-     * engine-matrix tests and chaos invariant "soa-identity");
-     * --no-flat-dispatch selects the virtual reference loop.
-     */
+    // Read only by the frozen perfbench/; remove with the next benchmark change.
     bool flatDispatch = true;
-    /**
-     * Quiescence memoization: the kernel caches each core's
-     * nextWorkCycle() answer keyed on its monotone activity stamp
-     * and re-asks only cores whose stamp moved — the idle cores of
-     * an SMP run stop paying the O(window) scan on every visited
-     * cycle. Conservative by construction (a cached answer can only
-     * shorten a skip); --no-memo-quiescence disables it.
-     */
+    // Read only by the frozen perfbench/; remove with the next benchmark change.
     bool memoQuiescence = true;
     /** Self-check depth; see check::InvariantAuditor. */
     check::CheckLevel checkLevel = check::CheckLevel::EndOfRun;

@@ -1,46 +1,27 @@
 /**
  * @file
- * Hot-cycle engine tests (DenseBits SoA scans, flat tick dispatch,
- * memoized quiescence; SystemParams::flatDispatch/memoQuiescence).
- * The engine layers must be invisible optimizations: the kernel-level
- * tests prove the typed schedule visits the same cycles in the same
- * order as the virtual fan-out and that memoization only skips
- * nextWorkCycle() calls whose answers are provably unchanged; the
- * system-level matrix proves SimResult, statsDump() and the exported
- * stats JSON are bit-identical across every (flat, memo) combination
- * and both reference paths; checkpoints written by one engine restore
- * into another (the SoA masks are derived state, rebuilt on restore);
- * and the self-profiler's per-class shares still sum to ~1 when the
- * flattened loops are timed per group.
+ * Fast-engine tests beyond skip-ahead identity (test_skipahead.cc):
+ * the DenseBits struct-of-arrays scan masks, and the kernel-level
+ * proofs that memoized quiescence and deferred idle ticks are
+ * invisible — the fast engine does the same work at the same cycles
+ * as the plain per-cycle loop, every cycle of a component is either
+ * ticked or replayed through elide() exactly once, a stamped idle
+ * component is served from the memo, and a component without an
+ * activity stamp is re-asked at every skip decision and never
+ * deferred.
  */
 
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "ckpt/checkpoint.hh"
 #include "common/bitutil.hh"
-#include "exp/self_profile.hh"
-#include "exp/sweep.hh"
-#include "model/params.hh"
-#include "obs/stats_export.hh"
 #include "sim/clocked.hh"
-#include "sim/system.hh"
-#include "workload/generator.hh"
-#include "workload/workloads.hh"
 
 namespace s64v
 {
 namespace
 {
-
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
 
 // --- DenseBits: the SoA scan mask ---------------------------------
 
@@ -110,7 +91,8 @@ TEST(DenseBitsSoA, ForEachVisitsInOrderAndHonorsEarlyStop)
  * Does work only at multiples of @p stride (quiescent in between),
  * drains once it has worked at or past @p done_at, and exposes the
  * monotone activity stamp the memoization layer keys on. Counts
- * nextWorkCycle() calls so the tests can see the memo engage.
+ * ticks and nextWorkCycle() calls so the tests can see the memo and
+ * the idle-tick deferral engage.
  */
 class StampedStrided final : public Clocked
 {
@@ -122,6 +104,7 @@ class StampedStrided final : public Clocked
 
     void tick(Cycle cycle) override
     {
+        ++ticks;
         if (cycle % stride_ == 0)
             work.push_back(cycle);
     }
@@ -146,6 +129,7 @@ class StampedStrided final : public Clocked
     const char *profileClass() const override { return "strided"; }
 
     std::vector<Cycle> work;
+    std::uint64_t ticks = 0;
     std::uint64_t elided = 0;
     mutable std::uint64_t asks = 0;
     bool withStamp = true;
@@ -155,383 +139,82 @@ class StampedStrided final : public Clocked
     Cycle doneAt_;
 };
 
-/** Appends its id to a shared log on every tick (order witness). */
-class OrderWitness final : public Clocked
+// --- CycleKernel: memoized quiescence -----------------------------
+
+/**
+ * One kernel run of a busy (stride 7) and a mostly idle (stride 1000)
+ * component. Both work for the last time at cycle 7000; the kernel
+ * sees them drained at the next visited cycle, 7001, which ticks
+ * nothing.
+ */
+struct MemoRun
 {
-  public:
-    OrderWitness(int id, Cycle done_at, const char *cls,
-                 std::vector<int> *log)
-        : id_(id), doneAt_(done_at), cls_(cls), log_(log)
+    StampedStrided busy{7, 7000};
+    StampedStrided idle{1000, 7000};
+    std::uint64_t visited = 0;
+    std::uint64_t elided = 0;
+
+    MemoRun(bool fast, bool idle_stamped)
     {
-    }
-
-    void tick(Cycle cycle) override
-    {
-        last_ = cycle;
-        log_->push_back(id_);
-    }
-    bool done() const override { return last_ >= doneAt_; }
-    const char *profileClass() const override { return cls_; }
-
-  private:
-    int id_;
-    Cycle last_ = 0;
-    Cycle doneAt_;
-    const char *cls_;
-    std::vector<int> *log_;
-};
-
-// --- CycleKernel: flat dispatch -----------------------------------
-
-TEST(CycleKernelFlatDispatch, TypedScheduleMatchesVirtualFanout)
-{
-    std::vector<std::vector<Cycle>> work(2);
-    for (bool flat : {false, true}) {
-        SCOPED_TRACE(flat ? "flat" : "virtual");
+        idle.withStamp = idle_stamped;
         CycleKernel kernel;
-        kernel.setFlatDispatch(flat);
-        StampedStrided a(7, 700), b(13, 700);
-        kernel.attachTyped(&a);
-        kernel.attachTyped(&b);
+        kernel.setSkipAhead(fast);
+        kernel.attach(&busy);
+        kernel.attach(&idle);
+        // Polled without a horizon: counts visited cycles without
+        // bounding the skip.
+        kernel.attachPolledProbe([this](Cycle) {
+            ++visited;
+            return true;
+        });
         const CycleKernel::Outcome out = kernel.run(100000);
         EXPECT_EQ(out.stop, CycleKernel::Stop::Drained);
-        work[flat ? 1 : 0] = a.work;
-        if (flat) {
-            EXPECT_EQ(work[0], work[1]);
-        }
-        // b drains at 702 and must stop ticking then, also in the
-        // batched loop (the group fn re-checks done() per component).
-        EXPECT_EQ(b.work.back(), 702u);
+        EXPECT_EQ(out.cycle, 7001u);
+        elided = kernel.elidedCycles();
     }
-}
-
-TEST(CycleKernelFlatDispatch, MixedAttachmentPreservesTickOrder)
-{
-    // Components of alternating profile classes cannot be batched
-    // into one group; the schedule must still tick them in exact
-    // attachment order every cycle.
-    std::vector<int> flat_log, virt_log;
-    for (bool flat : {false, true}) {
-        CycleKernel kernel;
-        kernel.setFlatDispatch(flat);
-        std::vector<int> &log = flat ? flat_log : virt_log;
-        OrderWitness a(1, 3, "alpha", &log), b(2, 3, "beta", &log);
-        OrderWitness c(3, 3, "alpha", &log), d(4, 3, "alpha", &log);
-        kernel.attach(&a);
-        kernel.attach(&b);
-        kernel.attach(&c);
-        kernel.attach(&d);
-        const CycleKernel::Outcome out = kernel.run(100);
-        EXPECT_EQ(out.stop, CycleKernel::Stop::Drained);
-    }
-    ASSERT_FALSE(virt_log.empty());
-    EXPECT_EQ(flat_log, virt_log);
-    EXPECT_EQ(std::vector<int>(virt_log.begin(), virt_log.begin() + 4),
-              (std::vector<int>{1, 2, 3, 4}));
-}
-
-// --- CycleKernel: memoized quiescence -----------------------------
+};
 
 TEST(CycleKernelMemo, MemoizedRunIsIdenticalAndSkipsIdleScans)
 {
-    // A busy component (stride 7) and a mostly idle one (stride
-    // 1000): at nearly every visited cycle the idle component's
-    // stamp is unchanged, so the memoized kernel reuses its cached
-    // answer instead of re-asking.
-    std::vector<std::vector<Cycle>> busy_work(2), idle_work(2);
-    std::uint64_t asks[2] = {0, 0}, elided[2] = {0, 0};
-    for (bool memo : {false, true}) {
-        SCOPED_TRACE(memo ? "memo" : "plain-skip");
-        CycleKernel kernel;
-        kernel.setSkipAhead(true);
-        kernel.setMemoQuiescence(memo);
-        StampedStrided busy(7, 7000), idle(1000, 7000);
-        kernel.attachTyped(&busy);
-        kernel.attachTyped(&idle);
-        const CycleKernel::Outcome out = kernel.run(100000);
-        EXPECT_EQ(out.stop, CycleKernel::Stop::Drained);
-        busy_work[memo] = busy.work;
-        idle_work[memo] = idle.work;
-        asks[memo] = idle.asks;
-        elided[memo] = kernel.elidedCycles();
-    }
-    EXPECT_EQ(busy_work[0], busy_work[1]);
-    EXPECT_EQ(idle_work[0], idle_work[1]);
-    EXPECT_EQ(elided[0], elided[1]);
+    // At nearly every visited cycle the idle component's stamp is
+    // unchanged, so the fast engine reuses its cached answer instead
+    // of re-asking, and defers its idle ticks.
+    const MemoRun plain(false, true);
+    const MemoRun fast(true, true);
+    EXPECT_EQ(plain.busy.work, fast.busy.work);
+    EXPECT_EQ(plain.idle.work, fast.idle.work);
+    EXPECT_EQ(plain.elided, 0u);
+    EXPECT_GT(fast.elided, 0u);
+    // Every cycle the plain loop ticks is, on the fast engine, either
+    // a real tick or replayed through elide() — exactly once.
+    for (const StampedStrided *c : {&fast.busy, &fast.idle})
+        EXPECT_EQ(c->ticks + c->elided, plain.idle.ticks);
     // The memo must actually engage: the idle component is re-asked
-    // far less often than once per visited cycle.
-    EXPECT_LT(asks[1] * 2, asks[0]);
+    // far less often than once per visited cycle, and its idle ticks
+    // on visited cycles are deferred rather than run.
+    EXPECT_LT(fast.idle.asks * 2, fast.visited);
+    EXPECT_LT(fast.idle.ticks * 2, fast.visited);
 }
 
 TEST(CycleKernelMemo, ComponentWithoutStampIsAlwaysReasked)
 {
-    // kNoActivityStamp opts a component out: the kernel must fall
-    // back to calling nextWorkCycle() on every skip decision that
-    // reaches it. The memoized kernel evaluates every alive
-    // component per decision (no early-out — the refreshed memo
-    // doubles as the idle-tick deferral proof), so the opted-out
-    // component is asked at least as often as under the unmemoized
-    // kernel, and far more often than a stamped twin that the memo
-    // can actually serve from cache.
-    std::uint64_t asks[3] = {0, 0, 0};
-    const struct { bool memo; bool stamped; } cases[3] = {
-        {false, false}, {true, false}, {true, true}};
-    for (int v = 0; v < 3; ++v) {
-        CycleKernel kernel;
-        kernel.setSkipAhead(true);
-        kernel.setMemoQuiescence(cases[v].memo);
-        StampedStrided busy(7, 7000), idle(1000, 7000);
-        idle.withStamp = cases[v].stamped;
-        kernel.attachTyped(&busy);
-        kernel.attachTyped(&idle);
-        const CycleKernel::Outcome out = kernel.run(100000);
-        EXPECT_EQ(out.stop, CycleKernel::Stop::Drained);
-        asks[v] = idle.asks;
-    }
-    EXPECT_GE(asks[1], asks[0]);
-    EXPECT_LT(asks[2] * 2, asks[1]);
-}
-
-// --- System-level: the engine matrix ------------------------------
-
-std::vector<InstrTrace>
-makeTraces(const WorkloadProfile &profile, unsigned num_cpus,
-           std::size_t instrs)
-{
-    TraceGenerator gen(profile, num_cpus);
-    std::vector<InstrTrace> traces;
-    for (unsigned cpu = 0; cpu < num_cpus; ++cpu)
-        traces.push_back(gen.generate(instrs, cpu));
-    return traces;
-}
-
-void
-attachAll(System &sys, const std::vector<InstrTrace> &traces)
-{
-    for (CpuId cpu = 0; cpu < traces.size(); ++cpu)
-        sys.attachTrace(cpu, traces[cpu]);
-}
-
-struct RunOutcome
-{
-    SimResult res;
-    std::string stats;
-    std::string json;
-};
-
-RunOutcome
-runEngine(SystemParams sp, const std::vector<InstrTrace> &traces,
-          bool skip, bool flat, bool memo)
-{
-    sp.skipAhead = skip;
-    sp.flatDispatch = flat;
-    sp.memoQuiescence = memo;
-    System sys(sp);
-    attachAll(sys, traces);
-    RunOutcome out;
-    out.res = sys.run();
-    out.stats = sys.statsDump();
-    out.json = obs::exportStatsJson(sys.root(), &out.res);
-    return out;
-}
-
-void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.measured, b.measured);
-    EXPECT_EQ(a.ipc, b.ipc); // bit-identical, not approximately.
-    EXPECT_EQ(a.warmupEndCycle, b.warmupEndCycle);
-    EXPECT_EQ(a.hitCycleCap, b.hitCycleCap);
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (std::size_t c = 0; c < a.cores.size(); ++c) {
-        EXPECT_EQ(a.cores[c].committed, b.cores[c].committed);
-        EXPECT_EQ(a.cores[c].measured, b.cores[c].measured);
-        EXPECT_EQ(a.cores[c].lastCommitCycle,
-                  b.cores[c].lastCommitCycle);
-        EXPECT_EQ(a.cores[c].ipc, b.cores[c].ipc);
-    }
-}
-
-void
-expectEngineMatrixBitIdentical(const WorkloadProfile &profile,
-                               unsigned num_cpus, std::size_t instrs)
-{
-    SystemParams sp = sparc64vBase(num_cpus).sys;
-    sp.warmupInstrs = instrs / 5;
-    const std::vector<InstrTrace> traces =
-        makeTraces(profile, num_cpus, instrs);
-
-    // The plain per-cycle loop over the virtual fan-out is the
-    // ground truth; every skip-ahead (flat, memo) combination and
-    // the flat plain loop must land in the same bits.
-    const RunOutcome ref = runEngine(sp, traces, false, false, false);
-    ASSERT_FALSE(ref.res.hitCycleCap);
-
-    struct EngineCase
-    {
-        const char *name;
-        bool skip, flat, memo;
-    };
-    for (const EngineCase &e : {
-             EngineCase{"plain+flat", false, true, false},
-             EngineCase{"skip", true, false, false},
-             EngineCase{"skip+flat", true, true, false},
-             EngineCase{"skip+memo", true, false, true},
-             EngineCase{"skip+flat+memo", true, true, true},
-         }) {
-        SCOPED_TRACE(e.name);
-        const RunOutcome out =
-            runEngine(sp, traces, e.skip, e.flat, e.memo);
-        expectSameSim(ref.res, out.res);
-        EXPECT_EQ(ref.stats, out.stats);
-        EXPECT_EQ(ref.json, out.json);
-        EXPECT_EQ(out.res.elidedCycles > 0, e.skip);
-    }
-}
-
-TEST(HotEngineIdentity, UpSpecintMatrix)
-{
-    expectEngineMatrixBitIdentical(specint95Profile(), 1, 20000);
-}
-
-TEST(HotEngineIdentity, Smp4TpccMatrix)
-{
-    expectEngineMatrixBitIdentical(tpccProfile(), 4, 6000);
-}
-
-// --- Checkpoints interchange between engines ----------------------
-
-TEST(HotEngineCheckpoint, CheckpointsInterchangeBetweenEngines)
-{
-    // The engine layers are host-side concerns excluded from the
-    // configuration fingerprint, and the SoA scan masks are derived
-    // state rebuilt on restore: a snapshot cut by the full engine
-    // restores into the plain virtual reference (and vice versa) and
-    // still finishes in the reference bits. 4P TPC-C exercises the
-    // LSQ masks across all four cores' queues.
-    constexpr std::size_t kInstrs = 6000;
-    SystemParams sp = sparc64vBase(4).sys;
-    sp.warmupInstrs = kInstrs / 5;
-    const std::vector<InstrTrace> traces =
-        makeTraces(tpccProfile(), 4, kInstrs);
-    const RunOutcome base =
-        runEngine(sp, traces, false, false, false);
-    ASSERT_FALSE(base.res.hitCycleCap);
-    const Cycle at = base.res.warmupEndCycle + base.res.cycles / 2;
-
-    for (bool writer_full : {false, true}) {
-        SCOPED_TRACE(writer_full ? "full-engine writer, plain reader"
-                                 : "plain writer, full-engine reader");
-        const std::string path = tempPath("hot_engine_xmode.ckpt");
-        {
-            SystemParams cp = sp;
-            cp.skipAhead = writer_full;
-            cp.flatDispatch = writer_full;
-            cp.memoQuiescence = writer_full;
-            cp.checkpoint.atCycle = at;
-            cp.checkpoint.path = path;
-            cp.checkpoint.stopAfter = true;
-            System writer(cp);
-            attachAll(writer, traces);
-            ASSERT_TRUE(writer.run().stoppedAtCheckpoint);
-        }
-        SystemParams rp = sp;
-        rp.skipAhead = !writer_full;
-        rp.flatDispatch = !writer_full;
-        rp.memoQuiescence = !writer_full;
-        System reader(rp);
-        attachAll(reader, traces);
-        ckpt::restoreSystemCheckpoint(reader, path);
-        const SimResult res = reader.run();
-        expectSameSim(base.res, res);
-        EXPECT_EQ(base.stats, reader.statsDump());
-        std::remove(path.c_str());
-    }
-}
-
-// --- Self-profiler under flat dispatch ----------------------------
-
-TEST(HotEngineProfile, FlatGroupSharesSumToOne)
-{
-    // Flat dispatch times each homogeneous group as a whole; the
-    // per-class shares in the rendered profile must still partition
-    // the sampled time (sum to ~1) with the core class present.
-    exp::resetSelfProfile();
-    constexpr std::size_t kInstrs = 6000;
-    SystemParams sp = sparc64vBase(4).sys;
-    sp.warmupInstrs = kInstrs / 5;
-    sp.skipAhead = true;
-    sp.flatDispatch = true;
-    sp.memoQuiescence = true;
-    const std::vector<InstrTrace> traces =
-        makeTraces(tpccProfile(), 4, kInstrs);
-
-    exp::SelfProfiler prof(4);
-    System sys(sp);
-    attachAll(sys, traces);
-    sys.attachProfiler(&prof);
-    const SimResult res = sys.run();
-    ASSERT_FALSE(res.hitCycleCap);
-
-    const exp::ProfileTotals &t = prof.totals();
-    ASSERT_EQ(t.count("core"), 1u);
-    EXPECT_GT(t.at("core").samples, 0u);
-    EXPECT_GT(t.at("core").ns, 0u);
-
-    exp::mergeSelfProfile(prof);
-    const std::string json = exp::renderSelfProfileJson();
-    double share_sum = 0.0;
-    std::size_t shares = 0;
-    for (std::size_t pos = json.find("\"share\":");
-         pos != std::string::npos;
-         pos = json.find("\"share\":", pos + 1)) {
-        share_sum += std::stod(json.substr(pos + 8));
-        ++shares;
-    }
-    EXPECT_GE(shares, 2u); // at least core + probes.
-    // The writer rounds each share; the partition property survives
-    // up to that rounding.
-    EXPECT_NEAR(share_sum, 1.0, 1e-4);
-    exp::resetSelfProfile();
-}
-
-// --- Parallel sweeps over the memoized engine (TSan workload) -----
-
-TEST(SweepRunnerHotEngine, ParallelMemoizedSweepMatchesSerial)
-{
-    // Each sweep point runs the full hot-cycle engine (the shipping
-    // default); 1-worker and 3-worker sweeps must agree bit for bit.
-    // This is also the TSan workload for the memoized kernel paths
-    // (see the "tsan" test preset).
-    constexpr std::size_t kRun = 8000;
-    auto build = [&]() {
-        exp::Sweep sweep;
-        sweep.add("tpcc/up", sparc64vBase(), tpccProfile(), kRun);
-        sweep.add("int/up", sparc64vBase(), specint2000Profile(),
-                  kRun);
-        sweep.add("tpcc/4p", sparc64vBase(4), tpccProfile(), kRun);
-        return sweep;
-    };
-
-    exp::SweepOptions serial_opts;
-    serial_opts.threads = 1;
-    const std::vector<exp::PointResult> serial =
-        exp::SweepRunner(serial_opts).run(build());
-
-    exp::SweepOptions parallel_opts;
-    parallel_opts.threads = 3;
-    const std::vector<exp::PointResult> parallel =
-        exp::SweepRunner(parallel_opts).run(build());
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE(serial[i].label);
-        ASSERT_TRUE(serial[i].ok) << serial[i].error;
-        ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
-        expectSameSim(serial[i].sim, parallel[i].sim);
-    }
+    // kNoActivityStamp opts a component out: the fast engine must ask
+    // its nextWorkCycle() at every skip decision while it is live (no
+    // early-out — the refreshed memo doubles as the idle-tick
+    // deferral proof) and never defer its tick. Only the last two
+    // visited cycles (7000, where it drains, and 7001) make no such
+    // decision, and only 7001 ticks nothing. Its work still matches
+    // the plain loop, and a stamped twin is served from the memo.
+    const MemoRun plain(false, false);
+    const MemoRun unstamped(true, false);
+    const MemoRun stamped(true, true);
+    EXPECT_EQ(plain.idle.work, unstamped.idle.work);
+    EXPECT_EQ(plain.idle.work, stamped.idle.work);
+    EXPECT_EQ(unstamped.idle.asks, unstamped.visited - 2);
+    EXPECT_EQ(unstamped.idle.ticks, unstamped.visited - 1);
+    EXPECT_EQ(unstamped.idle.ticks + unstamped.idle.elided,
+              plain.idle.ticks);
+    EXPECT_LT(stamped.idle.asks * 2, unstamped.idle.asks);
 }
 
 } // namespace

@@ -8,9 +8,12 @@
  * a skipped window still exits Drained at the reference cycle. At
  * the system level: SimResult, statsDump() and the exported stats
  * JSON must be bit-identical between the plain per-cycle loop and
- * skip-ahead — SPECint and TPC-C, uniprocessor and 4P — and a
+ * the fast engine (skip-ahead with memoized quiescence and deferred
+ * idle ticks) — SPECint and TPC-C, uniprocessor and 4P — a
  * checkpoint cut at a cycle the uninterrupted run elided must
- * restore into the same bits.
+ * restore into the same bits, checkpoints interchange between the
+ * two engines, and parallel sweeps over the fast engine match serial
+ * ones.
  */
 
 #include <cstdio>
@@ -20,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "ckpt/checkpoint.hh"
+#include "exp/sweep.hh"
 #include "model/params.hh"
 #include "obs/stats_export.hh"
 #include "sim/clocked.hh"
@@ -411,6 +415,43 @@ TEST(SkipAheadCheckpoint, CheckpointsInterchangeBetweenModes)
         expectSameSim(base.res, res);
         EXPECT_EQ(base.stats, reader.statsDump());
         std::remove(path.c_str());
+    }
+}
+
+// --- Parallel sweeps over the fast engine (TSan workload) ---------
+
+TEST(SweepRunnerHotEngine, ParallelMemoizedSweepMatchesSerial)
+{
+    // Each sweep point runs the fast engine (the shipping default);
+    // 1-worker and 3-worker sweeps must agree bit for bit. This is
+    // also the TSan workload for the memoized kernel paths (see the
+    // "tsan" test preset).
+    constexpr std::size_t kRun = 8000;
+    auto build = [&]() {
+        exp::Sweep sweep;
+        sweep.add("tpcc/up", sparc64vBase(), tpccProfile(), kRun);
+        sweep.add("int/up", sparc64vBase(), specint2000Profile(),
+                  kRun);
+        sweep.add("tpcc/4p", sparc64vBase(4), tpccProfile(), kRun);
+        return sweep;
+    };
+
+    exp::SweepOptions serial_opts;
+    serial_opts.threads = 1;
+    const std::vector<exp::PointResult> serial =
+        exp::SweepRunner(serial_opts).run(build());
+
+    exp::SweepOptions parallel_opts;
+    parallel_opts.threads = 3;
+    const std::vector<exp::PointResult> parallel =
+        exp::SweepRunner(parallel_opts).run(build());
+
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE(serial[i].label);
+        ASSERT_TRUE(serial[i].ok) << serial[i].error;
+        ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
+        expectSameSim(serial[i].sim, parallel[i].sim);
     }
 }
 
