@@ -25,9 +25,11 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv); // honour --threads=N etc.
     ConfigMap cfg;
-    cfg.parseArgs(argc, argv);
+    // The run flags (--threads=N, --journal=..., see obs/run_obs.hh)
+    // go to the process-wide options; the rest are this example's own
+    // keys.
+    cfg.parseArgs(obs::parseObsArgs(argc, argv));
     const std::string wl = cfg.getString("workload", "TPC-C");
     const std::size_t n =
         static_cast<std::size_t>(cfg.getU64("instrs", 60000));

@@ -20,8 +20,14 @@ ConfigMap::parse(const std::string &token)
 void
 ConfigMap::parseArgs(int argc, const char *const *argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        std::string tok = argv[i];
+    if (argc > 1)
+        parseArgs(std::vector<std::string>(argv + 1, argv + argc));
+}
+
+void
+ConfigMap::parseArgs(const std::vector<std::string> &tokens)
+{
+    for (const std::string &tok : tokens) {
         if (tok.find('=') != std::string::npos)
             parse(tok);
     }

@@ -28,8 +28,10 @@ class ConfigMap
     /** Parse a single "key=value" token; fatal() on malformed input. */
     void parse(const std::string &token);
 
-    /** Parse argv-style tokens, skipping entries without '='. */
+    /** Parse argv-style tokens, skipping entries without '='. @{ */
     void parseArgs(int argc, const char *const *argv);
+    void parseArgs(const std::vector<std::string> &tokens);
+    /** @} */
 
     /** Set a value programmatically. */
     void set(const std::string &key, const std::string &value);

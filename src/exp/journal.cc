@@ -207,11 +207,16 @@ class JsonParser
         return true;
     }
 
+    /** Deepest value nesting accepted. A valid line nests containers
+     *  4 deep (root, sim, cores, core); the bound keeps a hostile
+     *  line from exhausting the stack by recursion. */
+    static constexpr unsigned kMaxDepth = 8;
+
     bool
-    value(Jv &out)
+    value(Jv &out, unsigned depth = 0)
     {
         skipWs();
-        if (pos_ >= text_.size())
+        if (pos_ >= text_.size() || depth > kMaxDepth)
             return false;
         const char c = text_[pos_];
         if (c == '{') {
@@ -226,7 +231,7 @@ class JsonParser
                 if (!string(key) || !eat(':'))
                     return false;
                 Jv v;
-                if (!value(v))
+                if (!value(v, depth + 1))
                     return false;
                 out.fields.emplace_back(std::move(key),
                                         std::move(v));
@@ -244,7 +249,7 @@ class JsonParser
                 return true;
             for (;;) {
                 Jv v;
-                if (!value(v))
+                if (!value(v, depth + 1))
                     return false;
                 out.items.push_back(std::move(v));
                 if (eat(']'))
@@ -417,8 +422,9 @@ decodeJournalEntry(std::string_view line, JournalEntry &out)
         !getStr(doc, "error", out.error))
         return false;
     out.attempts = static_cast<std::uint32_t>(attempts);
-    if (out.status != "ok" && out.status != "failed" &&
-        out.status != "quarantined")
+    if (out.status == "quarantined")
+        out.status = "failed";
+    if (out.status != "ok" && out.status != "failed")
         return false;
     const Jv *sim = doc.find("sim");
     if (!sim || sim->kind != Jv::Kind::Obj)

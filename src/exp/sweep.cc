@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <mutex>
@@ -84,8 +83,7 @@ SweepRunner::effectiveMachine(const SweepPoint &point,
                               std::size_t index) const
 {
     MachineParams machine = point.machine;
-    if (opts_.standardWarmup)
-        machine.sys.warmupInstrs = point.instrs / 5;
+    machine.sys.warmupInstrs = point.instrs / 5;
     if (opts_.heartbeatPeriod != 0 && machine.sys.heartbeatPeriod == 0)
         machine.sys.heartbeatPeriod = opts_.heartbeatPeriod;
     if (opts_.watchdogEscalate) {
@@ -131,12 +129,6 @@ SweepRunner::runPoint(const SweepPoint &point, std::size_t index,
              e.what());
     }
     check::clearCrashPoint();
-
-    if (opts_.verbose && out.ok) {
-        inform("sweep point '%s' done: ipc=%.4f cycles=%llu",
-               point.label.c_str(), out.sim.ipc,
-               static_cast<unsigned long long>(out.sim.cycles));
-    }
 }
 
 std::vector<PointResult>
@@ -149,19 +141,15 @@ SweepRunner::run(const Sweep &sweep)
 
     // Flag-level defaults, mirroring the --threads pattern: a harness
     // that sets nothing programmatically inherits --journal/--resume/
-    // --max-attempts/--watchdog-escalate from the command line.
+    // --watchdog-escalate/--shuffle from the command line.
     {
         const obs::ObsOptions &oo = obs::runObsOptions();
         if (opts_.journalPath.empty())
             opts_.journalPath = oo.journalPath;
         if (oo.resume)
             opts_.resume = true;
-        if (oo.maxAttempts != 0)
-            opts_.maxAttempts = oo.maxAttempts;
         if (oo.watchdogEscalate)
             opts_.watchdogEscalate = true;
-        if (oo.retryBudgetMs != obs::ObsOptions::kUnset)
-            opts_.retryBudgetMs = oo.retryBudgetMs;
         if (oo.shuffle)
             opts_.shuffle = true;
     }
@@ -226,9 +214,7 @@ SweepRunner::run(const Sweep &sweep)
     }
 
     std::vector<std::uint8_t> prefilled(points.size(), 0);
-    std::vector<std::uint8_t> quarantined(points.size(), 0);
     std::vector<std::uint32_t> priorAttempts(points.size(), 0);
-    std::vector<std::string> lastError(points.size());
     if (journalled && opts_.resume) {
         std::size_t stale = 0;
         for (const JournalEntry &e :
@@ -248,11 +234,6 @@ SweepRunner::run(const Sweep &sweep)
                 results[i].metrics = e.metrics;
                 results[i].ok = true;
                 prefilled[i] = 1;
-            } else {
-                lastError[i] = e.error;
-                if (e.status == "quarantined" ||
-                    e.attempts >= opts_.maxAttempts)
-                    quarantined[i] = 1;
             }
         }
         if (stale != 0) {
@@ -278,25 +259,25 @@ SweepRunner::run(const Sweep &sweep)
         }
     }
 
-    auto makeEntry = [&](std::size_t i, std::uint32_t attempts,
-                         const PointResult &r, const char *status) {
+    // One entry per run of a point, ok or failed. A stop request
+    // cuts a running point at the next cycle boundary: its partial
+    // result is reported but never becomes durable, so resume re-runs
+    // the point in full instead of merging a truncated run.
+    auto journalPoint = [&](std::size_t i) {
+        const PointResult &r = results[i];
+        if (!journal.isOpen() || r.sim.interrupted)
+            return;
         JournalEntry e;
         e.index = i;
         e.label = points[i].label;
         e.configHash = configHash[i];
         e.workloadHash = workloadHash[i];
         e.modelVersion = modelVersionString();
-        e.status = status;
-        e.attempts = attempts;
+        e.status = r.ok ? "ok" : "failed";
+        e.attempts = priorAttempts[i] + 1;
         e.error = r.error;
         e.sim = r.sim;
         e.metrics = r.metrics;
-        return e;
-    };
-
-    auto journalAppend = [&](const JournalEntry &e) {
-        if (!journal.isOpen())
-            return;
         std::lock_guard<std::mutex> lock(journalMutex);
         journal.append(e);
     };
@@ -307,81 +288,6 @@ SweepRunner::run(const Sweep &sweep)
         if (opts_.progressFn) {
             const obs::SweepProgress sp = obs::sweepProgress();
             opts_.progressFn(sp.done, sp.total, sp.kips());
-        }
-    };
-
-    // A journalled point gets up to maxAttempts tries with capped
-    // exponential backoff; the outcome of every attempt is durable
-    // before the next one starts. A wall-clock retry budget bounds
-    // the whole attempt sequence: a point whose failures are eating
-    // real time is quarantined immediately rather than blocking its
-    // worker for further retries (see SweepOptions::retryBudgetMs).
-    auto runJournalled = [&](std::size_t i) {
-        const auto start = std::chrono::steady_clock::now();
-        auto budgetSpent = [&]() -> bool {
-            if (opts_.retryBudgetMs == 0)
-                return false;
-            const auto elapsed =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            return static_cast<std::uint64_t>(elapsed) >=
-                opts_.retryBudgetMs;
-        };
-        std::uint32_t attempt = priorAttempts[i];
-        for (;;) {
-            ++attempt;
-            runPoint(points[i], i, *traceSets[i], metricFn,
-                     results[i]);
-            if (results[i].ok) {
-                // A stop request cuts a running point at the next
-                // cycle boundary: its partial result is reported but
-                // must never become durable — resume re-runs the
-                // point in full instead of merging a truncated run.
-                if (results[i].sim.interrupted)
-                    return;
-                journalAppend(makeEntry(i, attempt, results[i],
-                                        "ok"));
-                return;
-            }
-            if (attempt >= opts_.maxAttempts) {
-                journalAppend(makeEntry(i, attempt, results[i],
-                                        "quarantined"));
-                results[i].error = "quarantined after " +
-                    std::to_string(attempt) + " attempts: " +
-                    results[i].error;
-                warn("sweep point '%s' quarantined after %u attempts",
-                     points[i].label.c_str(), attempt);
-                return;
-            }
-            if (budgetSpent()) {
-                results[i].error = "quarantined: retry budget (" +
-                    std::to_string(opts_.retryBudgetMs) +
-                    " ms) exhausted after " + std::to_string(attempt) +
-                    " attempts: " + results[i].error;
-                journalAppend(makeEntry(i, attempt, results[i],
-                                        "quarantined"));
-                warn("sweep point '%s' quarantined: retry budget "
-                     "exhausted after %u attempts",
-                     points[i].label.c_str(), attempt);
-                return;
-            }
-            journalAppend(makeEntry(i, attempt, results[i],
-                                    "failed"));
-            if (check::stopRequested())
-                return;
-            const unsigned shift =
-                attempt > 1 ? (attempt - 1 < 20 ? attempt - 1 : 20)
-                            : 0;
-            std::uint64_t delay = opts_.backoffBaseMs << shift;
-            if (delay > opts_.backoffCapMs)
-                delay = opts_.backoffCapMs;
-            warn("sweep point '%s' failed (attempt %u of %u); "
-                 "retrying in %llu ms",
-                 points[i].label.c_str(), attempt, opts_.maxAttempts,
-                 static_cast<unsigned long long>(delay));
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay));
         }
     };
 
@@ -396,26 +302,16 @@ SweepRunner::run(const Sweep &sweep)
                 pointDone(results[i], /*executed=*/false);
                 continue;
             }
-            if (quarantined[i]) {
-                results[i].label = points[i].label;
-                results[i].error = "quarantined after " +
-                    std::to_string(priorAttempts[i]) + " attempts: " +
-                    lastError[i];
-                pointDone(results[i], false);
-                continue;
-            }
             if (check::stopRequested()) {
                 results[i].label = points[i].label;
                 results[i].error = "interrupted";
                 pointDone(results[i], false);
                 continue;
             }
-            if (journalled) {
-                runJournalled(i);
-            } else {
-                runPoint(points[i], i, *traceSets[i], metricFn,
-                         results[i]);
-            }
+            runPoint(points[i], i, *traceSets[i], metricFn,
+                     results[i]);
+            if (journalled)
+                journalPoint(i);
             pointDone(results[i], true);
         }
     };

@@ -98,14 +98,6 @@ struct SweepOptions
      */
     unsigned threads = 0;
     /**
-     * Apply the standard warmup convention (warmupInstrs =
-     * instrs / 5, matching PerfModel::loadWorkload) to every point.
-     * Disable to honour each point's own machine.sys.warmupInstrs.
-     */
-    bool standardWarmup = true;
-    /** Announce per-point completion via inform(). */
-    bool verbose = false;
-    /**
      * Heartbeat period propagated to every point whose machine does
      * not set one (0 = leave the points alone). Embedded heartbeat
      * lines carry the live sweep progress suffix (points done/total,
@@ -121,41 +113,22 @@ struct SweepOptions
     std::function<void(std::size_t done, std::size_t total,
                        double agg_kips)> progressFn;
     /**
-     * Write-ahead run journal (empty = none): every finished attempt
-     * is appended to this JSONL file and fsynced before its result is
-     * merged, so a killed sweep can resume. Arming a journal also
-     * arms per-point retry (see maxAttempts).
+     * Write-ahead run journal (empty = none): every point that runs
+     * to completion or fails appends exactly one entry to this JSONL
+     * file, fsynced before its result is merged, so a killed sweep
+     * can resume.
      */
     std::string journalPath;
     /**
      * Replay the journal at journalPath before dispatching: points
      * with a matching "ok" entry are prefilled from it (bit-identical
-     * merge, doubles round-trip exactly) and not re-run; previously
-     * failed points retry with their attempt count carried over;
-     * quarantined points come back as failed without running. Entries
-     * whose config/workload/model-version keys no longer match the
-     * sweep are ignored with a warning.
+     * merge, doubles round-trip exactly) and not re-run; every other
+     * point runs once more, its attempt count carried over. Resume is
+     * the retry: the model is deterministic, so a failure re-runs
+     * only when asked. Entries whose config/workload/model-version
+     * keys no longer match the sweep are ignored with a warning.
      */
     bool resume = false;
-    /**
-     * Total attempts a journalled point gets before it is recorded as
-     * quarantined and never retried again. Ignored without a journal
-     * (an unjournalled sweep runs every point exactly once).
-     */
-    unsigned maxAttempts = 3;
-    /** Retry delay: backoffBaseMs * 2^(attempt-1), capped. @{ */
-    std::uint64_t backoffBaseMs = 100;
-    std::uint64_t backoffCapMs = 2000;
-    /** @} */
-    /**
-     * Wall-clock budget (ms) for one journalled point across all of
-     * its attempts and backoff sleeps. A point that fails with the
-     * budget spent is quarantined immediately — with the reason
-     * recorded in its error and journal entry — instead of burning
-     * further retries on a deterministic failure. 0 = unlimited.
-     * Defers to --retry-budget-ms= when left at the default.
-     */
-    std::uint64_t retryBudgetMs = 300'000;
     /**
      * Dispatch points in a seeded-random order instead of point
      * order (results still come back in point order; per-point Rng
@@ -168,9 +141,10 @@ struct SweepOptions
     bool shuffle = false;
     /**
      * Watchdog escalation: a hung point writes an emergency
-     * checkpoint (next to the journal, or "emergency.point<i>.ckpt"
-     * without one) before the watchdog kill, so the wedged machine
-     * state survives for offline dissection.
+     * checkpoint ("<journal>.point<i>.emergency.ckpt", or
+     * "point<i>.emergency.ckpt" without a journal) before the
+     * watchdog kill, so the wedged machine state survives for
+     * offline dissection.
      */
     bool watchdogEscalate = false;
 };
@@ -203,9 +177,10 @@ class SweepRunner
     static unsigned resolveThreads(unsigned requested);
 
   private:
-    /** The machine a point actually runs (warmup/heartbeat/escalation
-     *  conventions applied); also what the journal's config hash
-     *  covers. */
+    /** The machine a point actually runs: the standard warm-up
+     *  (warmupInstrs = instrs / 5, as in PerfModel::loadWorkload),
+     *  heartbeat and escalation conventions applied. Also what the
+     *  journal's config hash covers. */
     MachineParams effectiveMachine(const SweepPoint &point,
                                    std::size_t index) const;
 

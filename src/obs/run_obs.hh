@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace s64v::obs
 {
@@ -70,10 +71,7 @@ struct ObsOptions
     /** Sweep durability defaults (see exp::SweepOptions). @{ */
     std::string journalPath;     ///< write-ahead run journal.
     bool resume = false;         ///< replay the journal first.
-    unsigned maxAttempts = 0;    ///< 0 = SweepOptions default.
     bool watchdogEscalate = false; ///< emergency-checkpoint hung points.
-    /** Per-point retry wall-clock cap, ms (kUnset = default). */
-    std::uint64_t retryBudgetMs = kUnset;
     /** @} */
 
     /**
@@ -113,7 +111,10 @@ bool globalSeedSet();
 std::uint64_t effectiveWorkloadSeed(std::uint64_t profile_seed);
 
 /**
- * Parse the observability flags out of @p argv into runObsOptions().
+ * Parse the observability flags out of @p argv into runObsOptions()
+ * and @return the tokens of argv[1..] it did not consume, in order —
+ * what a caller's ConfigMap should see, so that only genuinely
+ * unknown options draw an "unused option" warning.
  * Recognizes "--stats-json=", "--trace-out=", "--pipeview-out=",
  * "--sample-out=" (also without the leading dashes, ConfigMap style),
  * "sample-period=", "heartbeat=", "--self-profile" (optionally
@@ -123,14 +124,12 @@ std::uint64_t effectiveWorkloadSeed(std::uint64_t profile_seed);
  * "threads=" (sweep worker threads, 0 = hardware concurrency);
  * the durability flags "checkpoint-at=<cycle>",
  * "checkpoint-out=<path>", "--checkpoint-stop", "restore=<path>",
- * "journal=<path>", "--resume" / "resume=<journal>",
- * "max-attempts=<n>", "retry-budget-ms=<ms>", and
+ * "journal=<path>", "--resume" / "resume=<journal>", and
  * "--watchdog-escalate"; the randomness flags "seed=<n>" and
  * "--shuffle"; the engine flag "--no-skip-ahead" /
- * "skip-ahead=<0|1>" (plain reference loop vs fast engine);
- * everything else is left for the caller.
+ * "skip-ahead=<0|1>" (plain reference loop vs fast engine).
  */
-void parseObsArgs(int argc, const char *const *argv);
+std::vector<std::string> parseObsArgs(int argc, const char *const *argv);
 
 } // namespace s64v::obs
 

@@ -124,6 +124,13 @@ TEST(Journal, FailedEntryCarriesTheError)
         exp::decodeJournalEntry(exp::encodeJournalEntry(e), back));
     EXPECT_EQ(back.status, "failed");
     EXPECT_EQ(back.error, e.error);
+
+    // Older builds wrote "quarantined" for a point they gave up on;
+    // it reads back as an ordinary failure, which resume re-runs.
+    e.status = "quarantined";
+    ASSERT_TRUE(
+        exp::decodeJournalEntry(exp::encodeJournalEntry(e), back));
+    EXPECT_EQ(back.status, "failed");
 }
 
 TEST(Journal, MalformedLinesAreRejectedNotCrashes)
@@ -143,6 +150,10 @@ TEST(Journal, MalformedLinesAreRejectedNotCrashes)
     EXPECT_FALSE(exp::decodeJournalEntry("{}", out));
     EXPECT_FALSE(exp::decodeJournalEntry("[1,2,3]", out));
     EXPECT_FALSE(exp::decodeJournalEntry("{\"v\":1}", out));
+    // Nesting is bounded: a hostile line cannot recurse the parser
+    // off the end of the stack.
+    EXPECT_FALSE(exp::decodeJournalEntry(std::string(1'000'000, '['),
+                                         out));
 
     // A future schema version is skipped, not misread.
     std::string future = good;
@@ -286,17 +297,15 @@ TEST(Journal, DurabilityFlagsParse)
     obs::runObsOptions() = obs::ObsOptions{};
     const char *argv[] = {"sim",
                           "--journal=sweep.journal",
-                          "--max-attempts=5",
                           "--watchdog-escalate",
                           "--checkpoint-at=100000",
                           "--checkpoint-out=run.ckpt",
                           "--checkpoint-stop",
                           "--restore=old.ckpt"};
-    obs::parseObsArgs(8, argv);
+    obs::parseObsArgs(7, argv);
     const obs::ObsOptions &o = obs::runObsOptions();
     EXPECT_EQ(o.journalPath, "sweep.journal");
     EXPECT_FALSE(o.resume);
-    EXPECT_EQ(o.maxAttempts, 5u);
     EXPECT_TRUE(o.watchdogEscalate);
     EXPECT_EQ(o.checkpointAt, 100000u);
     EXPECT_EQ(o.checkpointOut, "run.ckpt");

@@ -10,6 +10,8 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -277,7 +279,9 @@ TEST(RunObs, ParsesObservabilityFlags)
         "--sample-out=c.jsonl", "sample-period=500",
         "--heartbeat=2000", "workload=TPC-C",
     };
-    obs::parseObsArgs(7, argv);
+    const std::vector<std::string> rest = obs::parseObsArgs(7, argv);
+    // Only the caller's own key is left over for its ConfigMap.
+    EXPECT_EQ(rest, std::vector<std::string>{"workload=TPC-C"});
     const obs::ObsOptions &o = obs::runObsOptions();
     EXPECT_EQ(o.statsJsonPath, "a.json");
     EXPECT_EQ(o.traceOutPath, "b.json");

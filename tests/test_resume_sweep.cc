@@ -2,8 +2,8 @@
  * @file
  * Crash-recoverable sweep tests: a journalled sweep must record every
  * finished point durably, resume from its journal re-running only the
- * unfinished points with a bit-identical merged result, retry
- * transient failures with backoff and quarantine persistent ones, and
+ * unfinished points with a bit-identical merged result, run a failing
+ * point exactly once per invocation (resume is the retry), and
  * survive the injected kill-point fault — an abrupt std::_Exit
  * mid-run, modelling an OOM-kill — with the distinct exit code 86 and
  * a clean resume afterwards. Also covers per-point watchdog
@@ -224,66 +224,36 @@ TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
     std::remove(jpath.c_str());
 }
 
-TEST(ResumeSweep, TransientFailureRetriesWithBackoffAndRecovers)
+TEST(ResumeSweep, FailedPointRunsOncePerInvocation)
 {
-    const std::string jpath = tempPath("retry.journal");
+    const std::string jpath = tempPath("failed_once.journal");
     std::remove(jpath.c_str());
 
-    // The point itself is healthy; its metric probe dies on the first
-    // attempt only — a stand-in for any transient per-point failure.
-    std::atomic<int> attempts{0};
-    exp::Sweep sweep;
-    sweep.add("flaky", sparc64vBase(), tpccProfile(), 6000);
-    sweep.setMetricFn([&](PerfModel &, const SimResult &,
-                          std::map<std::string, double> &) {
-        if (attempts.fetch_add(1) == 0)
-            throw std::runtime_error("flaky metric probe");
-    });
-
-    exp::SweepOptions opts;
-    opts.threads = 1;
-    opts.journalPath = jpath;
-    opts.maxAttempts = 3;
-    opts.backoffBaseMs = 1;
-    std::string sink;
-    setLogSink(&sink);
-    const auto results = exp::SweepRunner(opts).run(sweep);
-    setLogSink(nullptr);
-
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_EQ(attempts.load(), 2);
-    EXPECT_NE(sink.find("retrying in 1 ms"), std::string::npos)
-        << sink;
-
-    // Both attempts are durable, in order, with the count carried.
-    const auto entries = exp::RunJournal::load(jpath);
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].status, "failed");
-    EXPECT_EQ(entries[0].attempts, 1u);
-    EXPECT_NE(entries[0].error.find("flaky metric probe"),
-              std::string::npos);
-    EXPECT_EQ(entries[1].status, "ok");
-    EXPECT_EQ(entries[1].attempts, 2u);
-    std::remove(jpath.c_str());
-}
-
-TEST(ResumeSweep, PersistentFailureIsQuarantinedAndStaysQuarantined)
-{
-    const std::string jpath = tempPath("quarantine.journal");
-    std::remove(jpath.c_str());
-
+    // The sick point deadlocks on every run: the model is
+    // deterministic, so running it again in-process could only fail
+    // the same way.
+    std::atomic<int> okRuns{0};
     exp::Sweep sweep;
     sweep.add("ok", sparc64vBase(), tpccProfile(), 6000);
     MachineParams sick = sparc64vBase();
-    sick.sys.watchdogCycles = 2; // deadlocks on every attempt.
+    sick.sys.watchdogCycles = 2;
     sweep.add("sick", sick, tpccProfile(), 6000);
+    sweep.setMetricFn([&](PerfModel &, const SimResult &,
+                          std::map<std::string, double> &) {
+        ++okRuns;
+    });
+    auto sickRuns = [](const std::string &log) {
+        std::size_t n = 0;
+        for (std::size_t at = log.find("sweep point 'sick' failed");
+             at != std::string::npos;
+             at = log.find("sweep point 'sick' failed", at + 1))
+            ++n;
+        return n;
+    };
 
     exp::SweepOptions opts;
     opts.threads = 1;
     opts.journalPath = jpath;
-    opts.maxAttempts = 2;
-    opts.backoffBaseMs = 1;
     std::string sink;
     setLogSink(&sink);
     const auto results = exp::SweepRunner(opts).run(sweep);
@@ -292,29 +262,37 @@ TEST(ResumeSweep, PersistentFailureIsQuarantinedAndStaysQuarantined)
     ASSERT_EQ(results.size(), 2u);
     EXPECT_TRUE(results[0].ok) << results[0].error;
     EXPECT_FALSE(results[1].ok);
-    EXPECT_NE(results[1].error.find("quarantined after 2 attempts"),
-              std::string::npos)
-        << results[1].error;
+    EXPECT_EQ(okRuns.load(), 1);
+    EXPECT_EQ(sickRuns(sink), 1u) << sink;
+    EXPECT_EQ(sink.find("retrying"), std::string::npos) << sink;
 
     auto entries = exp::RunJournal::load(jpath);
-    ASSERT_EQ(entries.size(), 3u); // ok + failed + quarantined.
+    ASSERT_EQ(entries.size(), 2u); // one entry per point.
+    EXPECT_EQ(entries[1].index, 1u);
     EXPECT_EQ(entries[1].status, "failed");
-    EXPECT_EQ(entries[2].status, "quarantined");
-    EXPECT_EQ(entries[2].attempts, 2u);
+    EXPECT_EQ(entries[1].attempts, 1u);
+    EXPECT_EQ(entries[1].error, results[1].error);
 
-    // Resume must NOT burn more attempts on a quarantined point: it
-    // comes straight back as failed, and the journal does not grow.
+    // Resume is the retry: the failed point runs exactly once more,
+    // its attempt count carried over, and the ok point is prefilled
+    // from the journal instead of re-running.
+    sink.clear();
     setLogSink(&sink);
     opts.resume = true;
     const auto resumed = exp::SweepRunner(opts).run(sweep);
     setLogSink(nullptr);
     ASSERT_EQ(resumed.size(), 2u);
-    EXPECT_TRUE(resumed[0].ok);
+    EXPECT_TRUE(resumed[0].ok) << resumed[0].error;
+    expectSameSim(results[0].sim, resumed[0].sim);
     EXPECT_FALSE(resumed[1].ok);
-    EXPECT_NE(resumed[1].error.find("quarantined after 2 attempts"),
-              std::string::npos)
-        << resumed[1].error;
-    EXPECT_EQ(exp::RunJournal::load(jpath).size(), 3u);
+    EXPECT_EQ(okRuns.load(), 1);
+    EXPECT_EQ(sickRuns(sink), 1u) << sink;
+
+    entries = exp::RunJournal::load(jpath);
+    ASSERT_EQ(entries.size(), 3u);
+    EXPECT_EQ(entries[2].index, 1u);
+    EXPECT_EQ(entries[2].status, "failed");
+    EXPECT_EQ(entries[2].attempts, 2u);
     std::remove(jpath.c_str());
 }
 
@@ -360,11 +338,8 @@ TEST(ResumeSweep, KillPointDiesWithCode86AndResumeCompletesTheRest)
     const std::string jpath = tempPath("kill.journal");
     std::remove(jpath.c_str());
 
-    // standardWarmup off keeps SimResult.cycles in absolute kernel
-    // cycles, so a kill cycle can be aimed into the second point.
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.standardWarmup = false;
     auto makeSweep = []() {
         exp::Sweep sweep;
         sweep.add("short", sparc64vBase(), specint95Profile(), 3000);
@@ -373,10 +348,16 @@ TEST(ResumeSweep, KillPointDiesWithCode86AndResumeCompletesTheRest)
     };
     const auto baseline = exp::SweepRunner(opts).run(makeSweep());
     ASSERT_TRUE(baseline[0].ok && baseline[1].ok);
-    const Cycle at =
-        baseline[0].sim.cycles + baseline[1].sim.cycles / 2;
-    ASSERT_LT(at, baseline[1].sim.cycles)
-        << "kill cycle must land inside the long point";
+    // SimResult.cycles counts from the end of warm-up, so a point
+    // ends at kernel cycle warmupEndCycle + cycles. Aim the kill
+    // between the two ends, where only the long point still runs.
+    const Cycle shortEnd =
+        baseline[0].sim.warmupEndCycle + baseline[0].sim.cycles;
+    const Cycle longEnd =
+        baseline[1].sim.warmupEndCycle + baseline[1].sim.cycles;
+    ASSERT_LT(shortEnd, longEnd)
+        << "kill cycle must land inside the long point only";
+    const Cycle at = shortEnd + (longEnd - shortEnd) / 2;
 
     std::fflush(stdout);
     std::fflush(stderr);
@@ -444,7 +425,6 @@ TEST(ResumeSweep, WatchdogEscalationLeavesEmergencyCheckpoint)
     exp::SweepOptions opts;
     opts.threads = 1;
     opts.journalPath = jpath;
-    opts.maxAttempts = 1;
     opts.watchdogEscalate = true;
     std::string sink;
     setLogSink(&sink);

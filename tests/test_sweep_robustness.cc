@@ -1,12 +1,10 @@
 /**
  * @file
  * Robustness tests for the sweep engine's failure-handling paths:
- * seeded-shuffle dispatch must not change any result, the wall-clock
- * retry budget must quarantine a deterministic failure instead of
- * burning the full attempt allowance, the mutex-held triage sink must
- * name every point that died in a parallel sweep, and the process-wide
- * --seed= must be stamped into stats JSON and crash reports so a run
- * is replayable from its own outputs.
+ * seeded-shuffle dispatch must not change any result, the mutex-held
+ * triage sink must name every point that died in a parallel sweep,
+ * and the process-wide --seed= must be stamped into stats JSON and
+ * crash reports so a run is replayable from its own outputs.
  */
 
 #include <cstdio>
@@ -110,52 +108,6 @@ TEST(SweepRobustness, ShuffledDispatchIsBitIdentical)
         EXPECT_EQ(permuted[i].label, ordered[i].label);
         expectSameSim(ordered[i].sim, permuted[i].sim);
     }
-}
-
-TEST(SweepRobustness, RetryBudgetQuarantinesDeterministicFailures)
-{
-    // A point that panics on every attempt would burn all five
-    // attempts (plus exponential backoff) before quarantine; a 1 ms
-    // retry budget must cut that short after the first failed retry
-    // cycle, with the reason recorded in the point's error.
-    const std::string journal = tempPath("retry_budget.jsonl");
-    std::remove(journal.c_str());
-
-    MachineParams sick = sparc64vBase();
-    sick.sys.watchdogCycles = 2; // panics almost immediately.
-    exp::Sweep sweep;
-    sweep.add("doomed", sick, tpccProfile(), kRun);
-
-    exp::SweepOptions opts;
-    opts.threads = 1;
-    opts.journalPath = journal;
-    opts.maxAttempts = 5;
-    opts.retryBudgetMs = 1;
-    opts.backoffBaseMs = 1;
-    const auto results = exp::SweepRunner(opts).run(sweep);
-
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_NE(results[0].error.find("quarantined: retry budget"),
-              std::string::npos)
-        << results[0].error;
-    // Nowhere near the 5-attempt allowance.
-    EXPECT_EQ(results[0].error.find("after 5 attempts"),
-              std::string::npos)
-        << results[0].error;
-
-    // The quarantine is durable: a resumed sweep must not re-run the
-    // point.
-    const std::string log = slurp(journal);
-    EXPECT_NE(log.find("\"quarantined\""), std::string::npos) << log;
-    exp::SweepOptions again = opts;
-    again.resume = true;
-    const auto resumed = exp::SweepRunner(again).run(sweep);
-    ASSERT_EQ(resumed.size(), 1u);
-    EXPECT_FALSE(resumed[0].ok);
-    EXPECT_NE(resumed[0].error.find("quarantined"), std::string::npos)
-        << resumed[0].error;
-    std::remove(journal.c_str());
 }
 
 TEST(SweepRobustness, ParallelCrashTriageNamesEveryDeadPoint)
