@@ -1,16 +1,22 @@
 /**
  * @file
  * Component microbenches: per-operation costs of the hot simulator
- * structures (cache lookup, BHT, bus arbitration, TLB).
+ * structures (cache lookup, BHT, bus arbitration, TLB), and the bytes/s
+ * of the checkpoint checksum and the trace identity hash.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "ckpt/snapshot.hh"
 #include "common/random.hh"
 #include "cpu/branch_pred.hh"
 #include "mem/bus.hh"
 #include "mem/cache.hh"
 #include "mem/tlb.hh"
+#include "model/fingerprint.hh"
+#include "trace/trace.hh"
+#include "workload/generator.hh"
+#include "workload/workloads.hh"
 
 using namespace s64v;
 
@@ -106,6 +112,34 @@ BM_TlbTranslate(benchmark::State &state)
     }
 }
 
+void
+BM_SnapshotChecksum(benchmark::State &state)
+{
+    Rng rng(4);
+    std::vector<std::uint8_t> buf(1 << 20);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            ckpt::hashBytes(buf.data(), buf.size()));
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * buf.size()));
+}
+
+void
+BM_TraceFingerprint(benchmark::State &state)
+{
+    // perfbench's tpcc_up trace length: the hash a checkpoint write
+    // and a restore each pay once per CPU.
+    const InstrTrace trace =
+        TraceGenerator(tpccProfile(), 1).generate(400000, 0);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(fingerprintTrace(trace));
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * trace.size() * sizeof(TraceRecord)));
+}
+
 } // namespace
 
 BENCHMARK(BM_CacheLookupHit);
@@ -113,3 +147,5 @@ BENCHMARK(BM_CacheLookupMissStream);
 BENCHMARK(BM_BhtPredictUpdate);
 BENCHMARK(BM_BusTransfer);
 BENCHMARK(BM_TlbTranslate);
+BENCHMARK(BM_SnapshotChecksum);
+BENCHMARK(BM_TraceFingerprint);

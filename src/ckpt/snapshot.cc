@@ -1,5 +1,6 @@
 #include "ckpt/snapshot.hh"
 
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -34,6 +35,33 @@ appendString(std::vector<std::uint8_t> &out, const std::string &s)
     out.insert(out.end(), s.begin(), s.end());
 }
 
+// hashBytes() constants: odd multipliers (so each multiply is a
+// bijection mod 2^64) and distinct lane offsets.
+constexpr std::uint64_t kHashMul = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kHashLane = 0xc2b2ae3d27d4eb4full;
+
+/**
+ * One hashBytes() step. For fixed @p h it is a bijection of @p w, and
+ * for fixed @p w a bijection of @p h, so a changed input always
+ * changes the state. The rotation carries each word's high bits into
+ * the low bits the multiply then spreads upward; without it a flip of
+ * a word's top bit would only ever reach the state's top bit, and two
+ * such flips would cancel.
+ */
+std::uint64_t
+hashStep(std::uint64_t h, std::uint64_t w)
+{
+    return std::rotl(h ^ w, 31) * kHashMul;
+}
+
+std::uint64_t
+loadWord(const std::uint8_t *p)
+{
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    return toLittleEndian(w);
+}
+
 } // namespace
 
 std::uint64_t
@@ -48,6 +76,46 @@ fnv1a(const void *data, std::size_t len, std::uint64_t seed)
     return h;
 }
 
+std::uint64_t
+hashBytes(const void *data, std::size_t len, std::uint64_t seed)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    std::size_t n = len;
+    // Four independent lanes, one word each per 32-byte block, so the
+    // multiplies overlap instead of waiting on each other.
+    std::uint64_t a = seed + kHashLane;
+    std::uint64_t b = seed + 2 * kHashLane;
+    std::uint64_t c = seed + 3 * kHashLane;
+    std::uint64_t d = seed + 4 * kHashLane;
+    for (; n >= 32; p += 32, n -= 32) {
+        a = hashStep(a, loadWord(p));
+        b = hashStep(b, loadWord(p + 8));
+        c = hashStep(c, loadWord(p + 16));
+        d = hashStep(d, loadWord(p + 24));
+    }
+    // Fold the length, the lanes, then the up to 31 tail bytes (whole
+    // words, then the last partial one zero-padded) into one chain.
+    std::uint64_t h = hashStep(seed, len);
+    h = hashStep(h, a);
+    h = hashStep(h, b);
+    h = hashStep(h, c);
+    h = hashStep(h, d);
+    for (; n >= 8; p += 8, n -= 8)
+        h = hashStep(h, loadWord(p));
+    if (n) {
+        std::uint64_t w = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            w |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+        h = hashStep(h, w);
+    }
+    // Final avalanche, a bijection too: every input bit reaches every
+    // output bit.
+    h ^= h >> 33;
+    h *= kHashLane;
+    h ^= h >> 29;
+    return h;
+}
+
 void
 SnapshotWriter::beginSection(const std::string &name)
 {
@@ -56,62 +124,13 @@ SnapshotWriter::beginSection(const std::string &name)
             panic("snapshot: duplicate section '%s'", name.c_str());
     }
     sections_.push_back(Section{name, {}});
+    cur_ = &sections_.back().data;
 }
 
 void
-SnapshotWriter::putRaw(const void *data, std::size_t len)
+SnapshotWriter::noSection()
 {
-    if (sections_.empty())
-        panic("snapshot: put outside any section");
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    auto &buf = sections_.back().data;
-    buf.insert(buf.end(), p, p + len);
-}
-
-void
-SnapshotWriter::putU16(std::uint16_t v)
-{
-    if (sections_.empty())
-        panic("snapshot: put outside any section");
-    appendLe(sections_.back().data, v, 2);
-}
-
-void
-SnapshotWriter::putU32(std::uint32_t v)
-{
-    if (sections_.empty())
-        panic("snapshot: put outside any section");
-    appendLe(sections_.back().data, v, 4);
-}
-
-void
-SnapshotWriter::putU64(std::uint64_t v)
-{
-    if (sections_.empty())
-        panic("snapshot: put outside any section");
-    appendLe(sections_.back().data, v, 8);
-}
-
-void
-SnapshotWriter::putDouble(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(bits);
-}
-
-void
-SnapshotWriter::putString(const std::string &s)
-{
-    putU32(static_cast<std::uint32_t>(s.size()));
-    putRaw(s.data(), s.size());
-}
-
-void
-SnapshotWriter::putBytes(const void *data, std::size_t len)
-{
-    putRaw(data, len);
+    panic("snapshot: put outside any section");
 }
 
 void
@@ -125,7 +144,12 @@ SnapshotWriter::putU64Vec(const std::vector<std::uint64_t> &v)
 std::vector<std::uint8_t>
 SnapshotWriter::finish(const std::string &model_version) const
 {
+    std::size_t size = sizeof(kMagic) + 8 + 4 + model_version.size();
+    for (const Section &s : sections_)
+        size += 4 + s.name.size() + 8 + s.data.size() + 8;
+
     std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
+    out.reserve(size);
     appendLe(out, kSnapshotFormatVersion, 4);
     appendLe(out, sections_.size(), 4);
     appendString(out, model_version);
@@ -133,7 +157,7 @@ SnapshotWriter::finish(const std::string &model_version) const
         appendString(out, s.name);
         appendLe(out, s.data.size(), 8);
         out.insert(out.end(), s.data.begin(), s.data.end());
-        appendLe(out, fnv1a(s.data.data(), s.data.size()), 8);
+        appendLe(out, hashBytes(s.data.data(), s.data.size()), 8);
     }
     return out;
 }
@@ -278,7 +302,7 @@ SnapshotReader::parse()
         need(8, "section checksum");
         const std::uint64_t stored = readLe(8);
         const std::uint64_t computed =
-            fnv1a(bytes_.data() + s.offset, s.size);
+            hashBytes(bytes_.data() + s.offset, s.size);
         if (stored != computed) {
             corrupt("checksum mismatch in section '" + s.name +
                     "' (snapshot is damaged)");
@@ -291,6 +315,7 @@ SnapshotReader::parse()
     }
     if (cursor_ != bytes_.size())
         corrupt("trailing garbage after last section");
+    end_ = cursor_;
 }
 
 bool
@@ -312,6 +337,7 @@ SnapshotReader::openSection(const std::string &name)
         if (s.name == name) {
             open_ = &s;
             cursor_ = s.offset;
+            end_ = s.offset + s.size;
             return;
         }
     }
@@ -323,74 +349,24 @@ SnapshotReader::closeSection()
 {
     if (!open_)
         corrupt("closeSection with no section open");
-    if (cursor_ != open_->offset + open_->size)
+    if (cursor_ != end_)
         corrupt("section not fully consumed (layout mismatch)");
     open_ = nullptr;
 }
 
 void
-SnapshotReader::getRaw(void *out, std::size_t len)
+SnapshotReader::overrun() const
 {
     if (!open_)
         corrupt("read with no section open");
-    if (open_->offset + open_->size - cursor_ < len)
-        corrupt("read past end of section");
-    std::memcpy(out, bytes_.data() + cursor_, len);
-    cursor_ += len;
-}
-
-std::uint8_t
-SnapshotReader::getU8()
-{
-    std::uint8_t v;
-    getRaw(&v, 1);
-    return v;
-}
-
-std::uint16_t
-SnapshotReader::getU16()
-{
-    std::uint8_t b[2];
-    getRaw(b, 2);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t
-SnapshotReader::getU32()
-{
-    std::uint8_t b[4];
-    getRaw(b, 4);
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-SnapshotReader::getU64()
-{
-    std::uint8_t b[8];
-    getRaw(b, 8);
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
-}
-
-double
-SnapshotReader::getDouble()
-{
-    const std::uint64_t bits = getU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+    corrupt("read past end of section");
 }
 
 std::string
 SnapshotReader::getString()
 {
     const std::uint32_t len = getU32();
-    if (!open_ || open_->offset + open_->size - cursor_ < len)
+    if (end_ - cursor_ < len)
         corrupt("string runs past end of section");
     std::string s(
         reinterpret_cast<const char *>(bytes_.data() + cursor_), len);
@@ -398,17 +374,11 @@ SnapshotReader::getString()
     return s;
 }
 
-void
-SnapshotReader::getBytes(void *out, std::size_t len)
-{
-    getRaw(out, len);
-}
-
 std::vector<std::uint64_t>
 SnapshotReader::getU64Vec()
 {
     const std::uint64_t n = getU64();
-    if (!open_ || (open_->offset + open_->size - cursor_) / 8 < n)
+    if ((end_ - cursor_) / 8 < n)
         corrupt("vector runs past end of section");
     std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
     for (auto &x : v)

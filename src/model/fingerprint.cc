@@ -243,8 +243,8 @@ fingerprintTrace(const InstrTrace &trace)
     const auto &recs = trace.records();
     if (!recs.empty()) {
         const std::uint64_t bytes =
-            ckpt::fnv1a(recs.data(),
-                        recs.size() * sizeof(TraceRecord));
+            ckpt::hashBytes(recs.data(),
+                            recs.size() * sizeof(TraceRecord));
         fp.u(bytes);
     }
     return fp.value();

@@ -25,7 +25,7 @@ enum TraceFlags : std::uint8_t
 };
 
 /**
- * One dynamic instruction. 32 bytes, trivially copyable; traces are
+ * One dynamic instruction. 24 bytes, trivially copyable; traces are
  * stored as flat vectors and written verbatim to trace files.
  */
 struct TraceRecord

@@ -10,7 +10,16 @@
  * a run that was never interrupted, uniprocessor and 4P alike.
  */
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,7 +72,80 @@ sampleImage()
     w.beginSection("beta");
     w.putU64Vec({1, 2, 3, 0xffffffffffffffffull});
     w.putI64(-42);
+    // A payload of several 32-byte checksum blocks plus a byte tail,
+    // so the fuzz tests below flip bits in every part of hashBytes().
+    w.beginSection("bulk");
+    for (unsigned i = 0; i < 109; ++i)
+        w.putU8(static_cast<std::uint8_t>(i * 37 + 11));
     return w.finish("s64v-test");
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define S64V_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define S64V_SANITIZED_BUILD 1
+#endif
+#endif
+
+/**
+ * Run @p body in a forked child whose address space is capped a little
+ * above the parent's, so an allocation sized from a corrupt length
+ * fails with bad_alloc on every host instead of succeeding on a large
+ * one or summoning the OOM killer on a small one. The child exits 0
+ * only if @p body recorded no failure and threw nothing. Sanitizer
+ * runtimes reserve terabytes of address space up front, so there the
+ * body runs in-process, unbounded.
+ */
+void
+runUnderAddressSpaceCap(const std::function<void()> &body)
+{
+#ifdef S64V_SANITIZED_BUILD
+    body();
+#else
+    std::size_t vm_pages = 0;
+    std::ifstream("/proc/self/statm") >> vm_pages;
+    ASSERT_GT(vm_pages, 0u) << "cannot read the process size";
+    const rlim_t cap =
+        static_cast<rlim_t>(vm_pages) *
+            static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+        (256ull << 20);
+
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t pid = fork();
+    ASSERT_NE(pid, -1);
+    if (pid == 0) {
+        int code = 0;
+        rlimit lim{};
+        if (getrlimit(RLIMIT_AS, &lim) != 0) {
+            code = 3;
+        } else {
+            lim.rlim_cur = std::min(lim.rlim_cur, cap);
+            if (setrlimit(RLIMIT_AS, &lim) != 0)
+                code = 3;
+        }
+        if (code == 0) {
+            try {
+                body();
+                code = ::testing::Test::HasFailure() ? 1 : 0;
+            } catch (const std::exception &e) {
+                std::fprintf(stderr, "escaped: %s\n", e.what());
+                code = 2;
+            }
+        }
+        std::fflush(stdout);
+        std::fflush(stderr);
+        std::_Exit(code);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "child killed by signal " << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "1: an expectation failed, 2: an exception escaped, "
+           "3: the address-space cap could not be set";
+#endif
 }
 
 TEST(Snapshot, TypedValuesRoundTripExactly)
@@ -127,57 +209,160 @@ TEST(Snapshot, UnderAndOverConsumptionAreRejected)
 
 TEST(Snapshot, EveryBitFlipIsDetectedNeverACrash)
 {
-    const std::vector<std::uint8_t> good = sampleImage();
-    const ckpt::SnapshotReader ref =
-        ckpt::SnapshotReader::fromBytes(good, "ref");
+    runUnderAddressSpaceCap([] {
+        const std::vector<std::uint8_t> good = sampleImage();
+        const ckpt::SnapshotReader ref =
+            ckpt::SnapshotReader::fromBytes(good, "ref");
 
-    ScopedThrow guard;
-    std::size_t rejected = 0;
-    for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
-        std::vector<std::uint8_t> bad = good;
-        bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-        // A damaged image must either fail validation with a clean
-        // diagnostic, or — when the flip lands in an unchecksummed
-        // header string (model version, a section name) — still parse
-        // into something visibly different from the original, which
-        // the restore-side identity checks then reject. What it must
-        // never do is crash or reproduce the pristine snapshot.
-        try {
-            ckpt::SnapshotReader r = ckpt::SnapshotReader::fromBytes(
-                std::move(bad), "fuzz");
-            EXPECT_TRUE(r.modelVersion() != ref.modelVersion() ||
-                        !r.hasSection("alpha") ||
-                        !r.hasSection("beta"))
-                << "undetected flip of bit " << bit;
-        } catch (const std::runtime_error &) {
-            ++rejected;
+        ScopedThrow guard;
+        std::size_t rejected = 0;
+        for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+            std::vector<std::uint8_t> bad = good;
+            bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            // A damaged image must either fail validation with a clean
+            // diagnostic, or — when the flip lands in an unchecksummed
+            // header string (model version, a section name) — still parse
+            // into something visibly different from the original, which
+            // the restore-side identity checks then reject. What it must
+            // never do is crash or reproduce the pristine snapshot.
+            try {
+                ckpt::SnapshotReader r = ckpt::SnapshotReader::fromBytes(
+                    std::move(bad), "fuzz");
+                EXPECT_TRUE(r.modelVersion() != ref.modelVersion() ||
+                            !r.hasSection("alpha") ||
+                            !r.hasSection("beta") ||
+                            !r.hasSection("bulk"))
+                    << "undetected flip of bit " << bit;
+            } catch (const std::runtime_error &) {
+                ++rejected;
+            }
         }
-    }
-    // The checksummed payload bytes are the bulk of the image, so the
-    // overwhelming majority of flips must be hard rejections.
-    EXPECT_GT(rejected, good.size() * 8 / 2);
+        // The checksummed payload bytes are the bulk of the image, so the
+        // overwhelming majority of flips must be hard rejections.
+        EXPECT_GT(rejected, good.size() * 8 / 2);
+    });
 }
 
 TEST(Snapshot, EveryTruncationIsRejectedCleanly)
 {
-    const std::vector<std::uint8_t> good = sampleImage();
-    ScopedThrow guard;
-    for (std::size_t len = 0; len < good.size(); ++len) {
-        std::vector<std::uint8_t> bad(good.begin(),
-                                      good.begin() +
-                                          static_cast<long>(len));
-        EXPECT_THROW(ckpt::SnapshotReader::fromBytes(std::move(bad),
-                                                     "truncated"),
-                     std::runtime_error)
-            << "prefix of " << len << " bytes parsed";
-    }
-    // Appended garbage is equally fatal.
-    std::vector<std::uint8_t> padded = good;
-    padded.push_back(0);
-    EXPECT_THROW(
-        ckpt::SnapshotReader::fromBytes(std::move(padded), "padded"),
-        std::runtime_error);
+    runUnderAddressSpaceCap([] {
+        const std::vector<std::uint8_t> good = sampleImage();
+        ScopedThrow guard;
+        for (std::size_t len = 0; len < good.size(); ++len) {
+            std::vector<std::uint8_t> bad(good.begin(),
+                                          good.begin() +
+                                              static_cast<long>(len));
+            EXPECT_THROW(ckpt::SnapshotReader::fromBytes(std::move(bad),
+                                                         "truncated"),
+                         std::runtime_error)
+                << "prefix of " << len << " bytes parsed";
+        }
+        // Appended garbage is equally fatal.
+        std::vector<std::uint8_t> padded = good;
+        padded.push_back(0);
+        EXPECT_THROW(
+            ckpt::SnapshotReader::fromBytes(std::move(padded), "padded"),
+            std::runtime_error);
+    });
 }
+
+TEST(Snapshot, OldFormatVersionIsRejectedByVersionNotChecksum)
+{
+    // The header of an image written by a format-1 build: same magic,
+    // version field 1. It must fail on the version, up front, not on
+    // the first checksum that no longer matches.
+    std::vector<std::uint8_t> old = sampleImage();
+    const std::uint8_t v1[4] = {1, 0, 0, 0};
+    std::memcpy(old.data() + 8, v1, sizeof v1);
+    ScopedThrow guard;
+    try {
+        ckpt::SnapshotReader::fromBytes(std::move(old), "v1");
+        FAIL() << "a format-1 image parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported format version 1 (this build "
+                      "reads version 2)"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// --- The section checksum -----------------------------------------
+
+std::vector<std::uint8_t>
+patternBytes(std::size_t len)
+{
+    std::vector<std::uint8_t> v(len);
+    for (std::size_t i = 0; i < len; ++i)
+        v[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    return v;
+}
+
+TEST(Snapshot, ChecksumKnownAnswers)
+{
+    // Pinned: a change to hashBytes() orphans every snapshot written
+    // before it, so it must come with a format version bump and new
+    // values here, never by accident.
+    const std::vector<std::uint8_t> b = patternBytes(100);
+    EXPECT_EQ(ckpt::hashBytes(nullptr, 0), 0x50f39765693d1085ull);
+    EXPECT_EQ(ckpt::hashBytes("abc", 3), 0xb9de38f36eb8948full);
+    EXPECT_EQ(ckpt::hashBytes(b.data(), 32), 0x09524245cd79febaull);
+    EXPECT_EQ(ckpt::hashBytes(b.data(), 100), 0xffc32695da7d227eull);
+    EXPECT_EQ(ckpt::hashBytes(b.data(), 100, 0x5eed),
+              0xf437cbe39f5e19dfull);
+    // fnv1a() keys the sweep journal; its output must not move.
+    EXPECT_EQ(ckpt::fnv1a(nullptr, 0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(ckpt::fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
+}
+
+TEST(Snapshot, ChecksumIsTheSameAtEveryAlignment)
+{
+    const std::vector<std::uint8_t> b = patternBytes(96);
+    const std::uint64_t want = ckpt::hashBytes(b.data(), b.size());
+    std::vector<std::uint8_t> buf(b.size() + 8);
+    for (std::size_t off = 0; off < 8; ++off) {
+        std::memcpy(buf.data() + off, b.data(), b.size());
+        EXPECT_EQ(ckpt::hashBytes(buf.data() + off, b.size()), want)
+            << "offset " << off;
+    }
+}
+
+TEST(Snapshot, ChecksumCatchesEverySingleBitFlip)
+{
+    // Every length up to three full blocks: all four lanes, several
+    // blocks, whole tail words and every partial tail length.
+    for (std::size_t len = 0; len <= 96; ++len) {
+        std::vector<std::uint8_t> b = patternBytes(len);
+        const std::uint64_t want = ckpt::hashBytes(b.data(), len);
+        for (std::size_t bit = 0; bit < len * 8; ++bit) {
+            b[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            EXPECT_NE(ckpt::hashBytes(b.data(), len), want)
+                << "len " << len << " bit " << bit;
+            b[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        }
+    }
+}
+
+TEST(Snapshot, ChecksumCatchesPairedTopBitFlips)
+{
+    // A plain (h ^ w) * odd step carries a flip of a word's top bit
+    // only into the state's top bit, so any two such flips cancel;
+    // the rotation in hashBytes() must prevent that.
+    std::vector<std::uint8_t> b = patternBytes(96);
+    const std::uint64_t want = ckpt::hashBytes(b.data(), b.size());
+    for (std::size_t i = 0; i < 12; ++i) {
+        for (std::size_t j = i + 1; j < 12; ++j) {
+            b[8 * i + 7] ^= 0x80;
+            b[8 * j + 7] ^= 0x80;
+            EXPECT_NE(ckpt::hashBytes(b.data(), b.size()), want)
+                << "words " << i << " and " << j;
+            b[8 * i + 7] ^= 0x80;
+            b[8 * j + 7] ^= 0x80;
+        }
+    }
+}
+
+
 
 // --- Whole-system checkpoint/restore ------------------------------
 
@@ -387,6 +572,54 @@ TEST(Checkpoint, MismatchedConfigurationIsRejected)
         EXPECT_THROW(ckpt::restoreSystemCheckpoint(other, path),
                      std::runtime_error);
     }
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, FlippedTraceRecordIsRejected)
+{
+    // Same workload name and length as the checkpointed trace, one bit
+    // different: only the record-bytes hash can tell them apart. The
+    // length is chosen so the records do not fill whole 32-byte hash
+    // blocks, which puts the last record in the tail words hashBytes()
+    // folds after its lanes.
+    constexpr std::size_t kInstrs = 8002;
+    static_assert(kInstrs * sizeof(TraceRecord) % 32 != 0);
+    const std::vector<InstrTrace> traces =
+        makeTraces(tpccProfile(), 1, kInstrs);
+    const std::string path = tempPath("trace_flip.ckpt");
+
+    SystemParams sp = sparc64vBase().sys;
+    sp.checkpoint.atCycle = 2000;
+    sp.checkpoint.path = path;
+    sp.checkpoint.stopAfter = true;
+    System writer(sp);
+    attachAll(writer, traces);
+    ASSERT_TRUE(writer.run().stoppedAtCheckpoint);
+
+    ScopedThrow guard;
+    // First record, a middle one (hashed in the lanes), and the last
+    // (hashed in the tail); a low bit of the first byte and a high bit
+    // of the last.
+    const std::size_t at[3][2] = {
+        {0, 0}, {kInstrs / 2, 8 * sizeof(TraceRecord) - 1},
+        {kInstrs - 1, 8 * sizeof(TraceRecord) - 1}};
+    for (const auto &[rec, bit] : at) {
+        std::vector<InstrTrace> flipped = traces;
+        auto *bytes = reinterpret_cast<unsigned char *>(
+            &flipped[0].records()[rec]);
+        bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+        ASSERT_EQ(flipped[0].workloadName(), traces[0].workloadName());
+        ASSERT_EQ(flipped[0].size(), traces[0].size());
+        System reader(sparc64vBase().sys);
+        attachAll(reader, flipped);
+        EXPECT_THROW(ckpt::restoreSystemCheckpoint(reader, path),
+                     std::runtime_error)
+            << "record " << rec << " bit " << bit;
+    }
+    // The untouched trace still restores.
+    System reader(sparc64vBase().sys);
+    attachAll(reader, traces);
+    EXPECT_NO_THROW(ckpt::restoreSystemCheckpoint(reader, path));
     std::remove(path.c_str());
 }
 
