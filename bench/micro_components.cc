@@ -1,12 +1,22 @@
 /**
  * @file
  * Component microbenches: per-operation costs of the hot simulator
- * structures (cache lookup, BHT, bus arbitration, TLB), and the bytes/s
- * of the checkpoint checksum and the trace identity hash.
+ * structures (cache lookup, BHT, bus arbitration, TLB), the bytes/s
+ * of the checkpoint checksum and the trace identity hash, and a whole
+ * 4P checkpoint write and restore.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "ckpt/checkpoint.hh"
 #include "ckpt/snapshot.hh"
 #include "common/random.hh"
 #include "cpu/branch_pred.hh"
@@ -14,6 +24,8 @@
 #include "mem/cache.hh"
 #include "mem/tlb.hh"
 #include "model/fingerprint.hh"
+#include "model/params.hh"
+#include "sim/system.hh"
 #include "trace/trace.hh"
 #include "workload/generator.hh"
 #include "workload/workloads.hh"
@@ -140,6 +152,90 @@ BM_TraceFingerprint(benchmark::State &state)
         state.iterations() * trace.size() * sizeof(TraceRecord)));
 }
 
+/**
+ * A 4P TPC-C machine stopped at a mid-run checkpoint, the snapshot
+ * it wrote (in the system temp directory) and the traces a restored
+ * machine needs: the image perfbench's tpcc_smp4 workload writes and
+ * restores, at a quarter of its trace length.
+ */
+class SmpCut
+{
+  public:
+    static constexpr unsigned kCpus = 4;
+
+    SmpCut()
+        : path_((std::filesystem::temp_directory_path() /
+                 ("s64v_micro_" + std::to_string(::getpid()) +
+                  ".ckpt"))
+                    .string())
+    {
+        TraceGenerator gen(tpccProfile(), kCpus);
+        for (unsigned cpu = 0; cpu < kCpus; ++cpu)
+            traces_.push_back(gen.generate(25000, cpu));
+        SystemParams sp = sparc64vBase(kCpus).sys;
+        sp.checkpoint.atCycle = 40000;
+        sp.checkpoint.path = path_;
+        sp.checkpoint.stopAfter = true;
+        sys_ = std::make_unique<System>(sp);
+        attach(*sys_);
+        sys_->run();
+    }
+
+    ~SmpCut() { std::remove(path_.c_str()); }
+
+    void attach(System &sys) const
+    {
+        for (unsigned cpu = 0; cpu < kCpus; ++cpu)
+            sys.attachTrace(cpu, traces_[cpu]);
+    }
+
+    System &stopped() { return *sys_; }
+    const std::string &path() const { return path_; }
+    std::uintmax_t bytes() const
+    {
+        return std::filesystem::file_size(path_);
+    }
+
+  private:
+    std::string path_;
+    std::vector<InstrTrace> traces_;
+    std::unique_ptr<System> sys_;
+};
+
+void
+BM_CheckpointWrite(benchmark::State &state)
+{
+    SmpCut cut;
+    for (auto _ : state) {
+        ckpt::writeSystemCheckpoint(cut.stopped(), cut.path());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * cut.bytes()));
+}
+
+void
+BM_CheckpointRestore(benchmark::State &state)
+{
+    SmpCut cut;
+    const SystemParams sp = sparc64vBase(SmpCut::kCpus).sys;
+    for (auto _ : state) {
+        // Restore wants a freshly built machine; building it is not
+        // part of the restore.
+        state.PauseTiming();
+        auto sys = std::make_unique<System>(sp);
+        cut.attach(*sys);
+        state.ResumeTiming();
+        ckpt::restoreSystemCheckpoint(*sys, cut.path());
+        benchmark::DoNotOptimize(sys->continuation().nextCycle);
+        state.PauseTiming();
+        sys.reset();
+        state.ResumeTiming();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * cut.bytes()));
+}
+
 } // namespace
 
 BENCHMARK(BM_CacheLookupHit);
@@ -149,3 +245,5 @@ BENCHMARK(BM_BusTransfer);
 BENCHMARK(BM_TlbTranslate);
 BENCHMARK(BM_SnapshotChecksum);
 BENCHMARK(BM_TraceFingerprint);
+BENCHMARK(BM_CheckpointWrite)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CheckpointRestore)->Unit(benchmark::kMillisecond);

@@ -1,5 +1,6 @@
 #include "ckpt/snapshot.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -54,14 +55,6 @@ hashStep(std::uint64_t h, std::uint64_t w)
     return std::rotl(h ^ w, 31) * kHashMul;
 }
 
-std::uint64_t
-loadWord(const std::uint8_t *p)
-{
-    std::uint64_t w;
-    std::memcpy(&w, p, sizeof w);
-    return toLittleEndian(w);
-}
-
 } // namespace
 
 std::uint64_t
@@ -88,10 +81,10 @@ hashBytes(const void *data, std::size_t len, std::uint64_t seed)
     std::uint64_t c = seed + 3 * kHashLane;
     std::uint64_t d = seed + 4 * kHashLane;
     for (; n >= 32; p += 32, n -= 32) {
-        a = hashStep(a, loadWord(p));
-        b = hashStep(b, loadWord(p + 8));
-        c = hashStep(c, loadWord(p + 16));
-        d = hashStep(d, loadWord(p + 24));
+        a = hashStep(a, loadLe(p));
+        b = hashStep(b, loadLe(p + 8));
+        c = hashStep(c, loadLe(p + 16));
+        d = hashStep(d, loadLe(p + 24));
     }
     // Fold the length, the lanes, then the up to 31 tail bytes (whole
     // words, then the last partial one zero-padded) into one chain.
@@ -101,7 +94,7 @@ hashBytes(const void *data, std::size_t len, std::uint64_t seed)
     h = hashStep(h, c);
     h = hashStep(h, d);
     for (; n >= 8; p += 8, n -= 8)
-        h = hashStep(h, loadWord(p));
+        h = hashStep(h, loadLe(p));
     if (n) {
         std::uint64_t w = 0;
         for (std::size_t i = 0; i < n; ++i)
@@ -123,8 +116,23 @@ SnapshotWriter::beginSection(const std::string &name)
         if (s.name == name)
             panic("snapshot: duplicate section '%s'", name.c_str());
     }
-    sections_.push_back(Section{name, {}});
-    cur_ = &sections_.back().data;
+    sections_.push_back(Section{name, nullptr, 0, 0});
+    cur_ = &sections_.back();
+}
+
+void
+SnapshotWriter::reserveMore(std::size_t n)
+{
+    // Geometric growth into uninitialized storage: every byte below
+    // size is written by a put before it is read, so zero-filling the
+    // spare capacity would be pure waste.
+    const std::size_t cap = std::max(
+        {2 * cur_->capacity, cur_->size + n, std::size_t{4096}});
+    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+    if (cur_->size)
+        std::memcpy(grown.get(), cur_->data.get(), cur_->size);
+    cur_->data = std::move(grown);
+    cur_->capacity = cap;
 }
 
 void
@@ -141,24 +149,54 @@ SnapshotWriter::putU64Vec(const std::vector<std::uint64_t> &v)
         putU64(x);
 }
 
+std::vector<std::string_view>
+SnapshotWriter::pieces(const std::string &model_version,
+                       std::vector<std::uint8_t> &framing) const
+{
+    // Everything between two payloads (one section's checksum, the
+    // next one's name and length) is contiguous in the file, so the
+    // framing is one buffer cut at the payload positions.
+    framing.assign(kMagic, kMagic + sizeof(kMagic));
+    appendLe(framing, kSnapshotFormatVersion, 4);
+    appendLe(framing, sections_.size(), 4);
+    appendString(framing, model_version);
+    std::vector<std::size_t> cuts;
+    cuts.reserve(sections_.size());
+    for (const Section &s : sections_) {
+        appendString(framing, s.name);
+        appendLe(framing, s.size, 8);
+        cuts.push_back(framing.size());
+        appendLe(framing, hashBytes(s.data.get(), s.size), 8);
+    }
+
+    const auto *f = reinterpret_cast<const char *>(framing.data());
+    std::vector<std::string_view> out;
+    out.reserve(2 * sections_.size() + 1);
+    std::size_t from = 0;
+    for (std::size_t i = 0; i < sections_.size(); ++i) {
+        out.emplace_back(f + from, cuts[i] - from);
+        out.emplace_back(
+            reinterpret_cast<const char *>(sections_[i].data.get()),
+            sections_[i].size);
+        from = cuts[i];
+    }
+    out.emplace_back(f + from, framing.size() - from);
+    return out;
+}
+
 std::vector<std::uint8_t>
 SnapshotWriter::finish(const std::string &model_version) const
 {
-    std::size_t size = sizeof(kMagic) + 8 + 4 + model_version.size();
-    for (const Section &s : sections_)
-        size += 4 + s.name.size() + 8 + s.data.size() + 8;
-
-    std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
+    std::vector<std::uint8_t> framing;
+    const std::vector<std::string_view> parts =
+        pieces(model_version, framing);
+    std::size_t size = 0;
+    for (std::string_view p : parts)
+        size += p.size();
+    std::vector<std::uint8_t> out;
     out.reserve(size);
-    appendLe(out, kSnapshotFormatVersion, 4);
-    appendLe(out, sections_.size(), 4);
-    appendString(out, model_version);
-    for (const Section &s : sections_) {
-        appendString(out, s.name);
-        appendLe(out, s.data.size(), 8);
-        out.insert(out.end(), s.data.begin(), s.data.end());
-        appendLe(out, hashBytes(s.data.data(), s.data.size()), 8);
-    }
+    for (std::string_view p : parts)
+        out.insert(out.end(), p.begin(), p.end());
     return out;
 }
 
@@ -166,30 +204,29 @@ void
 SnapshotWriter::writeFile(const std::string &path,
                           const std::string &model_version) const
 {
-    std::vector<std::uint8_t> image = finish(model_version);
+    std::vector<std::uint8_t> framing;
+    std::vector<std::string_view> parts = pieces(model_version, framing);
 
-    // Injected corruption: flip one bit in the middle of the image
-    // (header + payload territory) so the reader's validation path is
-    // exercised end to end in tests.
+    // Injected corruption: flip one bit at offset fault.at modulo the
+    // image size (header + payload territory) so the reader's
+    // validation path is exercised end to end in tests.
+    std::vector<std::uint8_t> image;
     const check::FaultPlan &fault = check::activeFaultPlan();
-    if (fault.active(check::FaultKind::CorruptCheckpoint) &&
-        !image.empty()) {
+    if (fault.active(check::FaultKind::CorruptCheckpoint)) {
+        image = finish(model_version);
         const std::size_t pos =
             static_cast<std::size_t>(fault.at) % image.size();
         image[pos] ^= 0x10;
+        parts.assign(1, std::string_view(
+                            reinterpret_cast<const char *>(image.data()),
+                            image.size()));
         warn("fault injection: flipped a bit at offset %zu of "
              "checkpoint '%s'", pos, path.c_str());
     }
 
     std::string err;
-    if (!atomicWriteFile(
-            path,
-            std::string_view(
-                reinterpret_cast<const char *>(image.data()),
-                image.size()),
-            &err)) {
+    if (!atomicWriteFile(path, parts, &err))
         fatal("checkpoint '%s': %s", path.c_str(), err.c_str());
-    }
 }
 
 SnapshotReader

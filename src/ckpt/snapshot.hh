@@ -5,11 +5,12 @@
  * little-endian payload and a hashBytes() checksum; the file header
  * records a magic, the container format version, and the producing
  * model version string. Components write themselves with the typed
- * put* API and read themselves back in the same order; the reader
- * validates the header, every section checksum, and every bounds
- * check up front or on access, and reports any corruption through
- * fatal() with a clean diagnostic — a damaged checkpoint must never
- * crash or silently restore garbage.
+ * put* API (a whole table at once through grow()/take()) and read
+ * themselves back in the same order; the reader validates the header,
+ * every section checksum, and every bounds check up front or on
+ * access, and reports any corruption through fatal() with a clean
+ * diagnostic — a damaged checkpoint must never crash or silently
+ * restore garbage.
  *
  * Compatibility policy: the format version is bumped on any layout
  * change and old versions are rejected (a checkpoint is a cache of a
@@ -25,7 +26,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace s64v::ckpt
@@ -69,6 +72,23 @@ toLittleEndian(std::uint64_t v)
     return v;
 }
 
+/** Store the low @p n bytes of @p v at @p p, least significant first. */
+inline void
+storeLe(std::uint8_t *p, std::uint64_t v, std::size_t n = 8)
+{
+    const std::uint64_t le = toLittleEndian(v);
+    std::memcpy(p, &le, n);
+}
+
+/** Load an @p n-byte little-endian unsigned value from @p p. */
+inline std::uint64_t
+loadLe(const std::uint8_t *p, std::size_t n = 8)
+{
+    std::uint64_t le = 0;
+    std::memcpy(&le, p, n);
+    return toLittleEndian(le);
+}
+
 /**
  * Builds a snapshot: beginSection()/put*()/.../writeFile(). Sections
  * are self-contained; the orchestrator opens one per component (e.g.
@@ -85,6 +105,23 @@ class SnapshotWriter
     SnapshotWriter &operator=(const SnapshotWriter &) = delete;
 
     void beginSection(const std::string &name);
+
+    /**
+     * Extend the open section by @p n bytes and return the first, for
+     * a component to fill a whole table in one loop (storeLe() for
+     * multi-byte fields). The bytes are uninitialized and the pointer
+     * is valid until the next put into this writer.
+     */
+    std::uint8_t *grow(std::size_t n)
+    {
+        if (!cur_)
+            noSection();
+        if (cur_->capacity - cur_->size < n)
+            reserveMore(n);
+        std::uint8_t *p = cur_->data.get() + cur_->size;
+        cur_->size += n;
+        return p;
+    }
 
     void putU8(std::uint8_t v) { putLe(v, 1); }
     void putU16(std::uint16_t v) { putLe(v, 2); }
@@ -110,15 +147,20 @@ class SnapshotWriter
     }
     void putU64Vec(const std::vector<std::uint64_t> &v);
 
-    /** Serialize header + all sections into one image. */
+    /**
+     * Serialize header + all sections into one image: the
+     * concatenation of the pieces writeFile() writes.
+     */
     std::vector<std::uint8_t> finish(
         const std::string &model_version) const;
 
     /**
-     * finish() + atomic write to @p path. Honours the
-     * corrupt-checkpoint fault-injection mode (a deliberate bit flip
-     * in one section payload, exercising the reader's checksum path).
-     * Fails via fatal() on I/O errors.
+     * Atomic write of the image to @p path as one gathered write of
+     * the framing and the section payloads in place, with no
+     * intermediate image. Honours the corrupt-checkpoint
+     * fault-injection mode (a deliberate bit flip in the image,
+     * exercising the reader's validation path). Fails via fatal() on
+     * I/O errors.
      */
     void writeFile(const std::string &path,
                    const std::string &model_version) const;
@@ -127,31 +169,32 @@ class SnapshotWriter
     struct Section
     {
         std::string name;
-        std::vector<std::uint8_t> data;
+        /** Payload; only the first @c size of @c capacity bytes are set. */
+        std::unique_ptr<std::uint8_t[]> data;
+        std::size_t size = 0;
+        std::size_t capacity = 0;
     };
 
-    /** Extend the open section by @p n bytes; returns the first. */
-    std::uint8_t *grow(std::size_t n)
-    {
-        if (!cur_)
-            noSection();
-        const std::size_t at = cur_->size();
-        cur_->resize(at + n);
-        return cur_->data() + at;
-    }
+    /** Regrow the open section so @p n more bytes fit. */
+    void reserveMore(std::size_t n);
 
-    /** Store the low @p n bytes of @p v, least significant first. */
-    void putLe(std::uint64_t v, std::size_t n)
-    {
-        const std::uint64_t le = toLittleEndian(v);
-        std::memcpy(grow(n), &le, n);
-    }
+    void putLe(std::uint64_t v, std::size_t n) { storeLe(grow(n), v, n); }
+
+    /**
+     * The image as a list of pieces in file order: header, then per
+     * section its name/length prefix, payload and checksum trailer.
+     * The small pieces live in @p framing; payloads are referenced in
+     * place.
+     */
+    std::vector<std::string_view> pieces(
+        const std::string &model_version,
+        std::vector<std::uint8_t> &framing) const;
 
     [[noreturn]] static void noSection();
 
     std::vector<Section> sections_;
-    /** The open (last) section's payload; null before the first. */
-    std::vector<std::uint8_t> *cur_ = nullptr;
+    /** The open (last) section; null before the first. */
+    Section *cur_ = nullptr;
 };
 
 /**
@@ -207,6 +250,22 @@ class SnapshotReader
     std::vector<std::uint64_t> getU64Vec();
 
     /**
+     * Consume @p n bytes of the open section and return the first,
+     * for a component to decode a whole table in one loop (loadLe()
+     * for multi-byte fields); the one bounds check behind every typed
+     * read. Size @p n from the configured machine, not from a count
+     * read out of the snapshot.
+     */
+    const std::uint8_t *take(std::size_t n)
+    {
+        if (n > end_ - cursor_)
+            overrun();
+        const std::uint8_t *p = bytes_.data() + cursor_;
+        cursor_ += n;
+        return p;
+    }
+
+    /**
      * Restore-side validation helper: fatal (naming the open section)
      * unless @p cond holds. Components use it to reject snapshots
      * whose recorded shapes disagree with the configured machine.
@@ -227,26 +286,7 @@ class SnapshotReader
     SnapshotReader() = default;
     void parse();
 
-    /**
-     * Consume @p n bytes of the open section and return the first;
-     * the one bounds check behind every typed read.
-     */
-    const std::uint8_t *take(std::size_t n)
-    {
-        if (n > end_ - cursor_)
-            overrun();
-        const std::uint8_t *p = bytes_.data() + cursor_;
-        cursor_ += n;
-        return p;
-    }
-
-    /** Read an @p n-byte little-endian unsigned value. */
-    std::uint64_t getLe(std::size_t n)
-    {
-        std::uint64_t le = 0;
-        std::memcpy(&le, take(n), n);
-        return toLittleEndian(le);
-    }
+    std::uint64_t getLe(std::size_t n) { return loadLe(take(n), n); }
 
     [[noreturn]] void overrun() const;
 

@@ -1,10 +1,16 @@
 #include "common/file_util.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace s64v
@@ -20,39 +26,85 @@ setErr(std::string *err, const std::string &what)
         *err = what + ": " + std::strerror(errno);
 }
 
+/**
+ * Write every byte of @p parts, in order, with as few writev(2) calls
+ * as the kernel allows: at most IOV_MAX pieces per call, resuming
+ * mid-piece after a partial write.
+ */
 bool
-writeAll(int fd, const char *data, std::size_t len)
+writeAll(int fd, std::span<const std::string_view> parts)
 {
-    while (len > 0) {
-        const ssize_t n = ::write(fd, data, len);
+    std::vector<iovec> iov;
+    iov.reserve(parts.size());
+    for (std::string_view p : parts) {
+        if (!p.empty())
+            iov.push_back({const_cast<char *>(p.data()), p.size()});
+    }
+    std::size_t i = 0;
+    while (i < iov.size()) {
+        const int cnt = static_cast<int>(
+            std::min<std::size_t>(iov.size() - i, IOV_MAX));
+        const ssize_t n = ::writev(fd, iov.data() + i, cnt);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
             return false;
         }
-        data += n;
-        len -= static_cast<std::size_t>(n);
+        auto left = static_cast<std::size_t>(n);
+        while (i < iov.size() && left >= iov[i].iov_len)
+            left -= iov[i++].iov_len;
+        if (left) {
+            iov[i].iov_base = static_cast<char *>(iov[i].iov_base) + left;
+            iov[i].iov_len -= left;
+        }
     }
     return true;
+}
+
+/**
+ * fsync the directory holding @p path, so a just-created or
+ * just-renamed entry survives a crash. A filesystem that cannot sync
+ * a directory (EINVAL) has nothing more to offer and is not an error.
+ */
+bool
+syncParentDir(const std::string &path, std::string *err)
+{
+    const std::size_t slash = path.rfind('/');
+    std::string dir = ".";
+    if (slash != std::string::npos)
+        dir = slash == 0 ? "/" : path.substr(0, slash);
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0) {
+        setErr(err, "open directory " + dir);
+        return false;
+    }
+    const bool ok = ::fsync(fd) == 0 || errno == EINVAL;
+    if (!ok)
+        setErr(err, "fsync directory " + dir);
+    ::close(fd);
+    return ok;
 }
 
 } // namespace
 
 bool
-atomicWriteFile(const std::string &path, std::string_view data,
+atomicWriteFile(const std::string &path,
+                std::span<const std::string_view> parts,
                 std::string *err)
 {
     // The temp file must live in the target's directory: rename(2) is
-    // only atomic within one filesystem.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
+    // only atomic within one filesystem. The counter keeps two calls
+    // of one process, on any threads, off each other's temp file.
+    static std::atomic<std::uint64_t> calls{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(calls++);
     const int fd =
         ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
         setErr(err, "open " + tmp);
         return false;
     }
-    bool ok = writeAll(fd, data.data(), data.size());
+    bool ok = writeAll(fd, parts);
     if (ok && ::fsync(fd) != 0)
         ok = false;
     if (!ok)
@@ -65,9 +117,11 @@ atomicWriteFile(const std::string &path, std::string_view data,
         setErr(err, "rename " + tmp + " -> " + path);
         ok = false;
     }
-    if (!ok)
+    if (!ok) {
         ::unlink(tmp.c_str());
-    return ok;
+        return false;
+    }
+    return syncParentDir(path, err);
 }
 
 AppendFile::~AppendFile()
@@ -79,9 +133,19 @@ bool
 AppendFile::open(const std::string &path, std::string *err)
 {
     close();
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    bool created = true;
+    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_APPEND,
+                 0644);
+    if (fd_ < 0 && errno == EEXIST) {
+        created = false;
+        fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
+    }
     if (fd_ < 0) {
         setErr(err, "open " + path);
+        return false;
+    }
+    if (created && !syncParentDir(path, err)) {
+        close();
         return false;
     }
     path_ = path;
@@ -96,7 +160,7 @@ AppendFile::append(std::string_view data, std::string *err)
             *err = "append on closed file";
         return false;
     }
-    if (!writeAll(fd_, data.data(), data.size())) {
+    if (!writeAll(fd_, std::span(&data, 1))) {
         setErr(err, "write " + path_);
         return false;
     }

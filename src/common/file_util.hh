@@ -4,14 +4,17 @@
  * the simulator produces goes through one of these so a run killed at
  * an arbitrary instant never leaves a truncated or interleaved file:
  * atomicWriteFile() stages the content in a temp file in the target
- * directory, fsyncs it, and renames it into place (rename(2) on one
- * filesystem is atomic); AppendFile gives line-granular durability
- * for journals, where each append is written and fsynced as a unit.
+ * directory, fsyncs it, renames it into place (rename(2) on one
+ * filesystem is atomic) and fsyncs the directory, so a write reported
+ * done survives a power loss; AppendFile gives line-granular
+ * durability for journals, where each append is written and fsynced
+ * as a unit.
  */
 
 #ifndef S64V_COMMON_FILE_UTIL_HH
 #define S64V_COMMON_FILE_UTIL_HH
 
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -19,14 +22,26 @@ namespace s64v
 {
 
 /**
- * Write @p data to @p path atomically: temp file + fsync + rename.
+ * Write the concatenation of @p parts to @p path atomically: temp
+ * file + one gathered write + fsync + rename + directory fsync.
  * Readers never observe a partial file — they see either the old
- * content or the new content. @return false (with the reason in
- * @p err if non-null) on any I/O failure; the target is untouched
- * and the temp file removed.
+ * content or the new content. The temp name is unique per call, so
+ * concurrent writers of one path each succeed and the last rename
+ * wins. @return false (with the reason in @p err if non-null) on any
+ * I/O failure; unless only the final directory fsync failed, the
+ * target is untouched and the temp file removed.
  */
-bool atomicWriteFile(const std::string &path, std::string_view data,
+bool atomicWriteFile(const std::string &path,
+                     std::span<const std::string_view> parts,
                      std::string *err = nullptr);
+
+/** atomicWriteFile() of a single buffer. */
+inline bool
+atomicWriteFile(const std::string &path, std::string_view data,
+                std::string *err = nullptr)
+{
+    return atomicWriteFile(path, std::span(&data, 1), err);
+}
 
 /**
  * Append-only file handle for JSONL journals: each append() is one
@@ -44,7 +59,10 @@ class AppendFile
     AppendFile(const AppendFile &) = delete;
     AppendFile &operator=(const AppendFile &) = delete;
 
-    /** Open (creating if needed) for append. @return success. */
+    /**
+     * Open (creating if needed, and then fsyncing the directory so
+     * the new file survives a crash) for append. @return success.
+     */
     bool open(const std::string &path, std::string *err = nullptr);
 
     /** Append @p data and fsync. @return success. */

@@ -116,16 +116,26 @@ BranchPredictor::mispredictRatio() const
 }
 
 
+namespace
+{
+
+/** Snapshot record of one BHT entry: tag, counter, valid, lru. */
+constexpr std::size_t kEntryRecordBytes = 8 + 1 + 1 + 8;
+
+} // namespace
+
 void
 BranchPredictor::saveState(ckpt::SnapshotWriter &w) const
 {
     w.putU64(lruTick_);
     w.putU64(entries_.size());
+    std::uint8_t *p = w.grow(entries_.size() * kEntryRecordBytes);
     for (const Entry &e : entries_) {
-        w.putU64(e.tag);
-        w.putU8(e.counter);
-        w.putBool(e.valid);
-        w.putU64(e.lru);
+        ckpt::storeLe(p, e.tag);
+        p[8] = e.counter;
+        p[9] = e.valid ? 1 : 0;
+        ckpt::storeLe(p + 10, e.lru);
+        p += kEntryRecordBytes;
     }
 }
 
@@ -135,11 +145,13 @@ BranchPredictor::restoreState(ckpt::SnapshotReader &r)
     lruTick_ = r.getU64();
     r.require(r.getU64() == entries_.size(),
               "BHT geometry differs (sets*ways)");
+    const std::uint8_t *p = r.take(entries_.size() * kEntryRecordBytes);
     for (Entry &e : entries_) {
-        e.tag = r.getU64();
-        e.counter = r.getU8();
-        e.valid = r.getBool();
-        e.lru = r.getU64();
+        e.tag = ckpt::loadLe(p);
+        e.counter = p[8];
+        e.valid = p[9] != 0;
+        e.lru = ckpt::loadLe(p + 10);
+        p += kEntryRecordBytes;
     }
 }
 

@@ -49,11 +49,14 @@ class BranchPredictor
 
     const BranchPredParams &params() const { return params_; }
 
-    /** Serialize mutable state (checkpoint/restore). */
+    /**
+     * Serialize mutable state (checkpoint/restore): the LRU clock, the
+     * entry count, then one 18-byte record per entry (tag, counter,
+     * valid, lru; integers little-endian).
+     */
     void saveState(ckpt::SnapshotWriter &w) const;
     void restoreState(ckpt::SnapshotReader &r);
 
-  private:
     struct Entry
     {
         Addr tag = 0;
@@ -62,6 +65,11 @@ class BranchPredictor
         std::uint64_t lru = 0;
     };
 
+    /** The raw table and LRU clock (for tests). */
+    const std::vector<Entry> &entries() const { return entries_; }
+    std::uint64_t lruTick() const { return lruTick_; }
+
+  private:
     unsigned setIndex(Addr pc) const;
     Addr tagOf(Addr pc) const;
 

@@ -391,17 +391,27 @@ TimedCache::demandMissRatio() const
     return a ? static_cast<double>(demandMisses_.value()) / a : 0.0;
 }
 
+namespace
+{
+
+/** Snapshot record of one CacheArray line: tag, flags, lru. */
+constexpr std::size_t kLineRecordBytes = 8 + 1 + 8;
+
+} // namespace
+
 void
 CacheArray::saveState(ckpt::SnapshotWriter &w) const
 {
     w.putU64(lruTick_);
     w.putU64(lines_.size());
+    std::uint8_t *p = w.grow(lines_.size() * kLineRecordBytes);
     for (const Line &l : lines_) {
-        w.putU64(l.tag);
-        w.putU8(static_cast<std::uint8_t>((l.valid ? 1 : 0) |
-                                          (l.dirty ? 2 : 0) |
-                                          (l.prefetched ? 4 : 0)));
-        w.putU64(l.lru);
+        ckpt::storeLe(p, l.tag);
+        p[8] = static_cast<std::uint8_t>((l.valid ? 1 : 0) |
+                                         (l.dirty ? 2 : 0) |
+                                         (l.prefetched ? 4 : 0));
+        ckpt::storeLe(p + 9, l.lru);
+        p += kLineRecordBytes;
     }
 }
 
@@ -411,13 +421,14 @@ CacheArray::restoreState(ckpt::SnapshotReader &r)
     lruTick_ = r.getU64();
     r.require(r.getU64() == lines_.size(),
               "cache geometry differs (sets*ways)");
+    const std::uint8_t *p = r.take(lines_.size() * kLineRecordBytes);
     for (Line &l : lines_) {
-        l.tag = r.getU64();
-        const std::uint8_t flags = r.getU8();
-        l.valid = (flags & 1) != 0;
-        l.dirty = (flags & 2) != 0;
-        l.prefetched = (flags & 4) != 0;
-        l.lru = r.getU64();
+        l.tag = ckpt::loadLe(p);
+        l.valid = (p[8] & 1) != 0;
+        l.dirty = (p[8] & 2) != 0;
+        l.prefetched = (p[8] & 4) != 0;
+        l.lru = ckpt::loadLe(p + 9);
+        p += kLineRecordBytes;
     }
 }
 

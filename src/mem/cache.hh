@@ -84,11 +84,14 @@ class CacheArray
     void forEachValidLine(
         const std::function<void(Addr, bool)> &fn) const;
 
-    /** Serialize tags/LRU (checkpoint/restore). */
+    /**
+     * Serialize tags/LRU (checkpoint/restore): the LRU clock, the line
+     * count, then one 17-byte record per line (tag, flags
+     * valid|dirty<<1|prefetched<<2, lru; integers little-endian).
+     */
     void saveState(ckpt::SnapshotWriter &w) const;
     void restoreState(ckpt::SnapshotReader &r);
 
-  private:
     struct Line
     {
         Addr tag = 0;
@@ -98,6 +101,11 @@ class CacheArray
         std::uint64_t lru = 0;
     };
 
+    /** The raw table and LRU clock (for tests). */
+    const std::vector<Line> &lines() const { return lines_; }
+    std::uint64_t lruTick() const { return lruTick_; }
+
+  private:
     unsigned setIndex(Addr addr) const;
     Addr lineTag(Addr addr) const;
     Line *find(Addr addr);

@@ -7,7 +7,10 @@
  * be rejected with a clean fatal() diagnostic rather than a crash,
  * and a run restored from a checkpoint must complete bit-identically
  * — same SimResult, same stats dump, same golden-checker verdict — to
- * a run that was never interrupted, uniprocessor and 4P alike.
+ * a run that was never interrupted, uniprocessor and 4P alike. The
+ * table codecs of the cache arrays and the BHT must write the same
+ * bytes as field-by-field puts, and a damaged real whole-system image
+ * must fail to restore with fatal(), never crash.
  */
 
 #include <sys/resource.h>
@@ -20,7 +23,10 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,7 +35,11 @@
 #include "ckpt/snapshot.hh"
 #include "check/fault_inject.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
+#include "common/stats.hh"
+#include "cpu/branch_pred.hh"
 #include "golden/checker.hh"
+#include "mem/cache.hh"
 #include "model/fingerprint.hh"
 #include "model/params.hh"
 #include "sim/system.hh"
@@ -650,6 +660,364 @@ TEST(Checkpoint, InjectedWriteCorruptionIsCaughtOnRestore)
     attachAll(reader, traces);
     EXPECT_THROW(ckpt::restoreSystemCheckpoint(reader, path),
                  std::runtime_error);
+    std::remove(path.c_str());
+}
+
+// --- Table codecs --------------------------------------------------
+
+/** The snapshot image of one section "t" written by @p save. */
+std::vector<std::uint8_t>
+sectionImage(const std::function<void(ckpt::SnapshotWriter &)> &save)
+{
+    ckpt::SnapshotWriter w;
+    w.beginSection("t");
+    save(w);
+    return w.finish("s64v-test");
+}
+
+TEST(Checkpoint, TableEncodingMatchesFieldEncoding)
+{
+    // A cache array with valid, dirty, prefetched and evicted lines.
+    CacheParams cp;
+    cp.sizeBytes = 16 << 10;
+    cp.assoc = 4;
+    CacheArray cache(cp);
+    Rng rng(7);
+    for (int i = 0; i < 600; ++i) {
+        const Addr a = rng.below(64 << 10);
+        if (i % 7 == 0)
+            cache.invalidate(a);
+        else if (!cache.access(a))
+            cache.insert(a, i % 3 == 0, i % 5 == 0);
+    }
+    std::size_t dirty = 0;
+    std::size_t prefetched = 0;
+    for (const CacheArray::Line &l : cache.lines()) {
+        dirty += l.valid && l.dirty;
+        prefetched += l.valid && l.prefetched;
+    }
+    ASSERT_GT(cache.validLines(), 0u);
+    ASSERT_LT(cache.validLines(), cache.lines().size());
+    ASSERT_GT(dirty, 0u);
+    ASSERT_GT(prefetched, 0u);
+
+    const std::vector<std::uint8_t> cache_img =
+        sectionImage([&](ckpt::SnapshotWriter &w) { cache.saveState(w); });
+    const std::vector<std::uint8_t> cache_ref =
+        sectionImage([&](ckpt::SnapshotWriter &w) {
+            w.putU64(cache.lruTick());
+            w.putU64(cache.lines().size());
+            for (const CacheArray::Line &l : cache.lines()) {
+                w.putU64(l.tag);
+                w.putU8(static_cast<std::uint8_t>(
+                    (l.valid ? 1 : 0) | (l.dirty ? 2 : 0) |
+                    (l.prefetched ? 4 : 0)));
+                w.putU64(l.lru);
+            }
+        });
+    EXPECT_EQ(cache_img, cache_ref);
+
+    CacheArray cache_back(cp);
+    ckpt::SnapshotReader cr =
+        ckpt::SnapshotReader::fromBytes(cache_img, "cache");
+    cr.openSection("t");
+    cache_back.restoreState(cr);
+    cr.closeSection();
+    EXPECT_EQ(cache_back.lruTick(), cache.lruTick());
+    ASSERT_EQ(cache_back.lines().size(), cache.lines().size());
+    for (std::size_t i = 0; i < cache.lines().size(); ++i) {
+        const CacheArray::Line &a = cache.lines()[i];
+        const CacheArray::Line &b = cache_back.lines()[i];
+        EXPECT_TRUE(a.tag == b.tag && a.valid == b.valid &&
+                    a.dirty == b.dirty &&
+                    a.prefetched == b.prefetched && a.lru == b.lru)
+            << "line " << i;
+    }
+
+    // A BHT with valid entries at every counter value.
+    stats::Group g("t");
+    BranchPredParams bp;
+    BranchPredictor bht(bp, &g);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr pc = 0x10000 + 4 * rng.below(1 << 15);
+        const bool taken = rng.below(3) != 0;
+        bht.predict(pc, taken);
+        bht.update(pc, taken);
+    }
+    unsigned counters = 0;
+    for (const BranchPredictor::Entry &e : bht.entries()) {
+        if (e.valid)
+            counters |= 1u << e.counter;
+    }
+    ASSERT_EQ(counters, 0xfu);
+
+    const std::vector<std::uint8_t> bht_img =
+        sectionImage([&](ckpt::SnapshotWriter &w) { bht.saveState(w); });
+    const std::vector<std::uint8_t> bht_ref =
+        sectionImage([&](ckpt::SnapshotWriter &w) {
+            w.putU64(bht.lruTick());
+            w.putU64(bht.entries().size());
+            for (const BranchPredictor::Entry &e : bht.entries()) {
+                w.putU64(e.tag);
+                w.putU8(e.counter);
+                w.putBool(e.valid);
+                w.putU64(e.lru);
+            }
+        });
+    EXPECT_EQ(bht_img, bht_ref);
+
+    stats::Group g_back("t");
+    BranchPredictor bht_back(bp, &g_back);
+    ckpt::SnapshotReader br =
+        ckpt::SnapshotReader::fromBytes(bht_img, "bht");
+    br.openSection("t");
+    bht_back.restoreState(br);
+    br.closeSection();
+    EXPECT_EQ(bht_back.lruTick(), bht.lruTick());
+    ASSERT_EQ(bht_back.entries().size(), bht.entries().size());
+    for (std::size_t i = 0; i < bht.entries().size(); ++i) {
+        const BranchPredictor::Entry &a = bht.entries()[i];
+        const BranchPredictor::Entry &b = bht_back.entries()[i];
+        EXPECT_TRUE(a.tag == b.tag && a.counter == b.counter &&
+                    a.valid == b.valid && a.lru == b.lru)
+            << "entry " << i;
+    }
+}
+
+TEST(Checkpoint, TableGeometryMismatchIsRejectedBeforeTheTableRead)
+{
+    // The record count is checked against the configured table before
+    // the table is taken, so a snapshot from another geometry fails
+    // on the geometry, not on a read sized from the file.
+    CacheParams small;
+    small.sizeBytes = 8 << 10;
+    small.assoc = 2;
+    CacheArray from(small);
+    CacheParams big = small;
+    big.sizeBytes = 16 << 10;
+    CacheArray into(big);
+    ckpt::SnapshotReader r = ckpt::SnapshotReader::fromBytes(
+        sectionImage([&](ckpt::SnapshotWriter &w) { from.saveState(w); }),
+        "geometry");
+    ScopedThrow guard;
+    r.openSection("t");
+    try {
+        into.restoreState(r);
+        FAIL() << "a smaller cache's table restored";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("cache geometry differs"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// --- Damage to a real whole-system image ---------------------------
+
+/** Where the container's structure lies in a snapshot image. */
+struct ImageLayout
+{
+    /**
+     * Every offset where the structure changes: the header fields,
+     * and per section the record start, payload start, payload end
+     * and record end.
+     */
+    std::vector<std::size_t> offsets;
+    /** Each section's payload as [begin, end); its checksum at end. */
+    std::vector<std::pair<std::size_t, std::size_t>> payloads;
+};
+
+ImageLayout
+imageLayout(const std::vector<std::uint8_t> &img)
+{
+    auto le = [&](std::size_t at, unsigned n) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < n; ++i)
+            v |= static_cast<std::uint64_t>(img.at(at + i)) << (8 * i);
+        return static_cast<std::size_t>(v);
+    };
+    ImageLayout out;
+    out.offsets = {0, 8, 12, 16};
+    const std::size_t count = le(12, 4);
+    std::size_t at = 16 + 4 + le(16, 4); // past the model version
+    out.offsets.push_back(at);
+    for (std::size_t i = 0; i < count; ++i) {
+        at += 4 + le(at, 4); // name
+        out.offsets.push_back(at);
+        const std::size_t size = le(at, 8);
+        at += 8;
+        out.offsets.push_back(at);
+        out.payloads.emplace_back(at, at + size);
+        at += size;
+        out.offsets.push_back(at);
+        at += 8; // checksum
+        out.offsets.push_back(at);
+    }
+    EXPECT_EQ(at, img.size());
+    return out;
+}
+
+/** A small 1P TPC-C checkpoint image and the traces it was cut from. */
+struct RealImage
+{
+    std::vector<InstrTrace> traces;
+    std::vector<std::uint8_t> bytes;
+};
+
+RealImage
+cutRealImage(const std::string &path)
+{
+    RealImage img;
+    img.traces = makeTraces(tpccProfile(), 1, 8000);
+    SystemParams sp = sparc64vBase().sys;
+    sp.checkpoint.atCycle = 2000;
+    sp.checkpoint.path = path;
+    sp.checkpoint.stopAfter = true;
+    System writer(sp);
+    attachAll(writer, img.traces);
+    EXPECT_TRUE(writer.run().stoppedAtCheckpoint);
+    std::ifstream in(path, std::ios::binary);
+    img.bytes.assign(std::istreambuf_iterator<char>(in), {});
+    return img;
+}
+
+/**
+ * Write @p bytes to @p path and restore a fresh System from it: the
+ * restore must fail through fatal(). Any other exception (bad_alloc
+ * from a read sized by a damaged count) escapes to the caller.
+ */
+void
+expectFatalRestore(const std::vector<std::uint8_t> &bytes,
+                   const std::vector<InstrTrace> &traces,
+                   const std::string &path, const std::string &what)
+{
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    System sys(sparc64vBase().sys);
+    attachAll(sys, traces);
+    try {
+        ckpt::restoreSystemCheckpoint(sys, path);
+        ADD_FAILURE() << what << ": the damaged image restored";
+    } catch (const std::runtime_error &e) {
+        EXPECT_TRUE(std::string_view(e.what()).starts_with("fatal: "))
+            << what << ": " << e.what();
+    }
+}
+
+TEST(Checkpoint, TruncatedRealImageIsRejectedNeverACrash)
+{
+    const std::string path = tempPath("real_trunc.ckpt");
+    const RealImage img = cutRealImage(path);
+    ASSERT_GT(img.bytes.size(), 0u);
+    {
+        // The pristine image restores, so every failure below is the
+        // damage's.
+        System sys(sparc64vBase().sys);
+        attachAll(sys, img.traces);
+        ckpt::restoreSystemCheckpoint(sys, path);
+    }
+
+    std::vector<std::size_t> lens;
+    for (const std::size_t at : imageLayout(img.bytes).offsets) {
+        for (const std::size_t len : {at - 1, at, at + 1}) {
+            if (at > 0 && len < img.bytes.size())
+                lens.push_back(len);
+        }
+    }
+    Rng rng(0x7a11);
+    for (int i = 0; i < 200; ++i)
+        lens.push_back(rng.below(img.bytes.size()));
+
+    runUnderAddressSpaceCap([&] {
+        ScopedThrow guard;
+        for (const std::size_t len : lens) {
+            const std::vector<std::uint8_t> cut(
+                img.bytes.begin(),
+                img.bytes.begin() + static_cast<long>(len));
+            expectFatalRestore(cut, img.traces, path,
+                               "prefix of " + std::to_string(len) +
+                                   " bytes");
+        }
+    });
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, BitFlippedRealImageIsRejectedNeverACrash)
+{
+    const std::string path = tempPath("real_flip.ckpt");
+    const RealImage img = cutRealImage(path);
+    ASSERT_GT(img.bytes.size(), 0u);
+
+    Rng rng(0xf11b);
+    std::vector<std::size_t> bits;
+    for (int i = 0; i < 200; ++i)
+        bits.push_back(rng.below(img.bytes.size() * 8));
+    // And one flip inside every header field and section frame.
+    for (const std::size_t at : imageLayout(img.bytes).offsets) {
+        if (at < img.bytes.size())
+            bits.push_back(8 * at + rng.below(8));
+    }
+
+    runUnderAddressSpaceCap([&] {
+        ScopedThrow guard;
+        for (const std::size_t bit : bits) {
+            std::vector<std::uint8_t> bad = img.bytes;
+            bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            expectFatalRestore(bad, img.traces, path,
+                               "flip of bit " + std::to_string(bit));
+        }
+    });
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ResealedPayloadDamageNeverCrashesTheDecoders)
+{
+    // A flip whose section checksum is recomputed gets past the
+    // container and reaches the component decoders, counts and
+    // geometry fields included. The restore may then succeed (a
+    // damaged LRU stamp is still a machine) or fail via fatal(), but
+    // must never crash or size an allocation from the damaged value.
+    const std::string path = tempPath("real_reseal.ckpt");
+    const RealImage img = cutRealImage(path);
+    const ImageLayout layout = imageLayout(img.bytes);
+
+    Rng rng(0x5ea1);
+    runUnderAddressSpaceCap([&] {
+        ScopedThrow guard;
+        std::size_t rejected = 0;
+        for (const auto &[begin, end] : layout.payloads) {
+            for (int i = 0; i < 40; ++i) {
+                std::vector<std::uint8_t> bad = img.bytes;
+                const std::size_t bit =
+                    8 * begin + rng.below(8 * (end - begin));
+                bad[bit / 8] ^=
+                    static_cast<std::uint8_t>(1u << (bit % 8));
+                ckpt::storeLe(bad.data() + end,
+                              ckpt::hashBytes(bad.data() + begin,
+                                              end - begin));
+                {
+                    std::ofstream out(path,
+                                      std::ios::binary | std::ios::trunc);
+                    out.write(reinterpret_cast<const char *>(bad.data()),
+                              static_cast<std::streamsize>(bad.size()));
+                }
+                System sys(sparc64vBase().sys);
+                attachAll(sys, img.traces);
+                try {
+                    ckpt::restoreSystemCheckpoint(sys, path);
+                } catch (const std::runtime_error &e) {
+                    ++rejected;
+                    EXPECT_TRUE(
+                        std::string_view(e.what()).starts_with("fatal: "))
+                        << "bit " << bit << ": " << e.what();
+                }
+            }
+        }
+        // Some of the damage is caught by the components' own checks.
+        EXPECT_GT(rejected, 0u);
+    });
     std::remove(path.c_str());
 }
 
