@@ -257,12 +257,20 @@ FetchUnit::saveState(ckpt::SnapshotWriter &w) const
 void
 FetchUnit::restoreState(ckpt::SnapshotReader &r)
 {
+    // Counts come from the snapshot: bound each by the configured
+    // machine before it sizes an allocation. Groups are never empty
+    // and all buffered instructions fit the fetch queue, so neither
+    // count can exceed its capacity.
     inflight_.clear();
     const std::uint64_t groups = r.getU64();
+    r.require(groups <= params_.fetchQueueEntries,
+              "in-flight fetch group count exceeds the fetch queue");
     for (std::uint64_t i = 0; i < groups; ++i) {
         Group g;
         g.availableAt = r.getU64();
         const std::uint64_t n = r.getU64();
+        r.require(n <= params_.fetchBytes / 4,
+                  "fetch group larger than a fetch block");
         g.instrs.reserve(n);
         for (std::uint64_t j = 0; j < n; ++j)
             g.instrs.push_back(restoreFetched(r));
@@ -270,6 +278,8 @@ FetchUnit::restoreState(ckpt::SnapshotReader &r)
     }
     queue_.clear();
     const std::uint64_t qn = r.getU64();
+    r.require(qn <= params_.fetchQueueEntries,
+              "fetch queue count exceeds its capacity");
     for (std::uint64_t i = 0; i < qn; ++i)
         queue_.push_back(restoreFetched(r));
     nextGroupStart_ = r.getU64();

@@ -1,6 +1,7 @@
 #include "exp/trace_pool.hh"
 
 #include "common/logging.hh"
+#include "model/fingerprint.hh"
 #include "obs/run_obs.hh"
 #include "workload/generator.hh"
 
@@ -17,12 +18,12 @@ TracePool::acquire(const WorkloadProfile &profile, unsigned num_cpus,
         fatal("TracePool::acquire: zero-length trace");
 
     // A process-wide --seed= re-keys every synthesis stream; the pool
-    // key uses the effective seed so sweeps under different global
-    // seeds never share (or miss) cache entries.
+    // key hashes the effective profile so sweeps under different
+    // global seeds never share (or miss) cache entries.
     WorkloadProfile effective = profile;
     effective.seed = obs::effectiveWorkloadSeed(profile.seed);
 
-    const Key key{effective.name, effective.seed, num_cpus, instrs};
+    const Key key{fingerprintWorkload(effective), num_cpus, instrs};
     auto it = pool_.find(key);
     if (it != pool_.end())
         return it->second;

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -40,8 +39,10 @@ class TracePool
     /**
      * Get or synthesize the trace set for @p profile on a
      * @p num_cpus-way system, @p instrs records per CPU. Identity is
-     * (profile.name, profile.seed, num_cpus, instrs) — the same
-     * identity TraceGenerator's determinism contract is keyed on.
+     * (fingerprintWorkload() of the profile under the effective seed,
+     * num_cpus, instrs): everything TraceGenerator's output depends
+     * on, so two custom profiles that share a name and seed but differ
+     * in mix or regions get separate trace sets.
      */
     const TraceSet &acquire(const WorkloadProfile &profile,
                             unsigned num_cpus, std::size_t instrs);
@@ -50,8 +51,7 @@ class TracePool
     std::size_t setsSynthesized() const { return pool_.size(); }
 
   private:
-    using Key =
-        std::tuple<std::string, std::uint64_t, unsigned, std::size_t>;
+    using Key = std::tuple<std::uint64_t, unsigned, std::size_t>;
 
     std::map<Key, TraceSet> pool_;
 };

@@ -235,7 +235,7 @@ fingerprintWorkload(const WorkloadProfile &profile)
 }
 
 std::uint64_t
-fingerprintTrace(const InstrTrace &trace)
+computeTraceFingerprint(const InstrTrace &trace)
 {
     Fp fp;
     fp.s(trace.workloadName());
@@ -248,6 +248,18 @@ fingerprintTrace(const InstrTrace &trace)
         fp.u(bytes);
     }
     return fp.value();
+}
+
+std::uint64_t
+fingerprintTrace(const InstrTrace &trace)
+{
+    std::uint64_t v =
+        trace.fingerprint_.load(std::memory_order_acquire);
+    if (v == InstrTrace::kNoFingerprint) {
+        v = computeTraceFingerprint(trace);
+        trace.setMemo(v);
+    }
+    return v;
 }
 
 } // namespace s64v

@@ -44,8 +44,15 @@ std::uint64_t fingerprintMachine(const MachineParams &machine);
 /** Hash of a workload profile (mix, layouts, regions, seed). */
 std::uint64_t fingerprintWorkload(const WorkloadProfile &profile);
 
-/** Hash of a trace's record bytes and workload name. */
+/**
+ * Hash of a trace's record bytes and workload name, memoized on the
+ * trace: the first call hashes, later calls (from any thread) read the
+ * value back until the trace is next mutated.
+ */
 std::uint64_t fingerprintTrace(const InstrTrace &trace);
+
+/** fingerprintTrace() computed afresh, bypassing the memo. */
+std::uint64_t computeTraceFingerprint(const InstrTrace &trace);
 
 } // namespace s64v
 

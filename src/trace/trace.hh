@@ -7,7 +7,9 @@
 #ifndef S64V_TRACE_TRACE_HH
 #define S64V_TRACE_TRACE_HH
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,14 @@ namespace s64v
 /**
  * A complete in-memory instruction trace for one CPU, plus minimal
  * provenance metadata.
+ *
+ * The trace also holds the memo of its fingerprintTrace() value, so
+ * a trace shared by many sweep points and checkpoints is hashed once.
+ * Every mutator clears the memo, and no accessor hands out a mutable
+ * reference to the records, so a memoized value always matches the
+ * bytes. The slot is atomic (release store, acquire load): concurrent
+ * readers of one shared trace may race to fill it, and all of them
+ * store and see the same value.
  */
 class InstrTrace
 {
@@ -26,8 +36,51 @@ class InstrTrace
     InstrTrace() = default;
     explicit InstrTrace(std::string workload_name)
         : workloadName_(std::move(workload_name)) {}
+    InstrTrace(std::string workload_name,
+               std::vector<TraceRecord> records)
+        : workloadName_(std::move(workload_name)),
+          records_(std::move(records)) {}
 
-    void append(const TraceRecord &rec) { records_.push_back(rec); }
+    // std::atomic is neither copyable nor movable. A copy holds the
+    // same bytes, so it keeps the memo; a moved-from trace loses it.
+    InstrTrace(const InstrTrace &o)
+        : workloadName_(o.workloadName_), records_(o.records_),
+          fingerprint_(o.fingerprint_.load(std::memory_order_acquire))
+    {}
+    InstrTrace(InstrTrace &&o) noexcept
+        : workloadName_(std::move(o.workloadName_)),
+          records_(std::move(o.records_)),
+          fingerprint_(o.fingerprint_.exchange(
+              kNoFingerprint, std::memory_order_acq_rel))
+    {}
+    InstrTrace &
+    operator=(const InstrTrace &o)
+    {
+        if (this != &o) {
+            workloadName_ = o.workloadName_;
+            records_ = o.records_;
+            setMemo(o.fingerprint_.load(std::memory_order_acquire));
+        }
+        return *this;
+    }
+    InstrTrace &
+    operator=(InstrTrace &&o) noexcept
+    {
+        if (this != &o) {
+            workloadName_ = std::move(o.workloadName_);
+            records_ = std::move(o.records_);
+            setMemo(o.fingerprint_.exchange(
+                kNoFingerprint, std::memory_order_acq_rel));
+        }
+        return *this;
+    }
+
+    void
+    append(const TraceRecord &rec)
+    {
+        records_.push_back(rec);
+        setMemo(kNoFingerprint);
+    }
     void reserve(std::size_t n) { records_.reserve(n); }
 
     std::size_t size() const { return records_.size(); }
@@ -38,14 +91,30 @@ class InstrTrace
     }
 
     const std::vector<TraceRecord> &records() const { return records_; }
-    std::vector<TraceRecord> &records() { return records_; }
 
     const std::string &workloadName() const { return workloadName_; }
-    void setWorkloadName(std::string n) { workloadName_ = std::move(n); }
+    void
+    setWorkloadName(std::string n)
+    {
+        workloadName_ = std::move(n);
+        setMemo(kNoFingerprint);
+    }
 
   private:
+    friend std::uint64_t fingerprintTrace(const InstrTrace &trace);
+
+    /** Empty memo slot; a computed 0 is simply never memoized. */
+    static constexpr std::uint64_t kNoFingerprint = 0;
+
+    void
+    setMemo(std::uint64_t v) const
+    {
+        fingerprint_.store(v, std::memory_order_release);
+    }
+
     std::string workloadName_;
     std::vector<TraceRecord> records_;
+    mutable std::atomic<std::uint64_t> fingerprint_{kNoFingerprint};
 };
 
 /**

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "check/fault_inject.hh"
 #include "common/logging.hh"
@@ -147,21 +148,20 @@ readTraceFile(const std::string &path)
         }
     }
 
-    InstrTrace trace(hdr.workloadName);
-    trace.records().resize(hdr.recordCount);
+    std::vector<TraceRecord> records(hdr.recordCount);
     if (hdr.recordCount &&
-        std::fread(trace.records().data(), sizeof(TraceRecord),
+        std::fread(records.data(), sizeof(TraceRecord),
                    hdr.recordCount, f.get()) != hdr.recordCount) {
         fatal("trace file '%s' is truncated (records)", path.c_str());
     }
     for (std::uint64_t i = 0; i < hdr.recordCount; ++i) {
-        if (!recordValid(trace.records()[i])) {
+        if (!recordValid(records[i])) {
             fatal("trace file '%s': record %llu is corrupt "
                   "(out-of-range class or register)", path.c_str(),
                   static_cast<unsigned long long>(i));
         }
     }
-    return trace;
+    return InstrTrace(hdr.workloadName, std::move(records));
 }
 
 } // namespace s64v

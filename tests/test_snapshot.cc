@@ -10,7 +10,7 @@
  * a run that was never interrupted, uniprocessor and 4P alike. The
  * table codecs of the cache arrays and the BHT must write the same
  * bytes as field-by-field puts, and a damaged real whole-system image
- * must fail to restore with fatal(), never crash.
+ * or component count must fail to restore with fatal(), never crash.
  */
 
 #include <sys/resource.h>
@@ -38,8 +38,10 @@
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "cpu/branch_pred.hh"
+#include "cpu/fetch.hh"
 #include "golden/checker.hh"
 #include "mem/cache.hh"
+#include "mem/hierarchy.hh"
 #include "model/fingerprint.hh"
 #include "model/params.hh"
 #include "sim/system.hh"
@@ -614,10 +616,20 @@ TEST(Checkpoint, FlippedTraceRecordIsRejected)
         {0, 0}, {kInstrs / 2, 8 * sizeof(TraceRecord) - 1},
         {kInstrs - 1, 8 * sizeof(TraceRecord) - 1}};
     for (const auto &[rec, bit] : at) {
-        std::vector<InstrTrace> flipped = traces;
-        auto *bytes = reinterpret_cast<unsigned char *>(
-            &flipped[0].records()[rec]);
-        bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+        // Rebuilt through append(), the only way to change a trace's
+        // records, so the flipped copy cannot carry the memoized
+        // fingerprint of the original.
+        std::vector<InstrTrace> flipped(
+            1, InstrTrace(traces[0].workloadName()));
+        for (std::size_t i = 0; i < traces[0].size(); ++i) {
+            TraceRecord r = traces[0][i];
+            if (i == rec) {
+                auto *bytes = reinterpret_cast<unsigned char *>(&r);
+                bytes[bit / 8] ^=
+                    static_cast<unsigned char>(1u << (bit % 8));
+            }
+            flipped[0].append(r);
+        }
         ASSERT_EQ(flipped[0].workloadName(), traces[0].workloadName());
         ASSERT_EQ(flipped[0].size(), traces[0].size());
         System reader(sparc64vBase().sys);
@@ -631,6 +643,54 @@ TEST(Checkpoint, FlippedTraceRecordIsRejected)
     attachAll(reader, traces);
     EXPECT_NO_THROW(ckpt::restoreSystemCheckpoint(reader, path));
     std::remove(path.c_str());
+}
+
+TEST(Checkpoint, DamagedFetchCountsAreCleanFatals)
+{
+    // Fetch-section counts whose checksum was resealed reach the
+    // decoder. Each must be checked against the configured machine
+    // before it sizes an allocation: a clean fatal(), never bad_alloc.
+    stats::Group root("t");
+    const CoreParams cp;
+    const MemParams mp;
+    MemSystem mem(mp, 1, &root);
+    BranchPredictor bpred(cp.bpred, &root);
+    FetchUnit fetch(cp, 0, bpred, mem, &root);
+
+    constexpr std::uint64_t kHuge = 1ull << 40;
+    struct Case
+    {
+        const char *what;
+        std::uint64_t groups, groupSize, queue;
+    };
+    const Case cases[] = {{"group count", kHuge, 0, 0},
+                          {"group size", 1, kHuge, 0},
+                          {"queue count", 0, 0, kHuge}};
+    runUnderAddressSpaceCap([&] {
+        ScopedThrow guard;
+        for (const Case &c : cases) {
+            ckpt::SnapshotWriter w;
+            w.beginSection("fetch");
+            w.putU64(c.groups);
+            if (c.groups) {
+                w.putU64(0); // availableAt
+                w.putU64(c.groupSize);
+            } else {
+                w.putU64(c.queue);
+            }
+            ckpt::SnapshotReader r =
+                ckpt::SnapshotReader::fromBytes(w.finish("t"), c.what);
+            r.openSection("fetch");
+            try {
+                fetch.restoreState(r);
+                ADD_FAILURE() << c.what << ": the damaged count restored";
+            } catch (const std::runtime_error &e) {
+                EXPECT_TRUE(
+                    std::string_view(e.what()).starts_with("fatal: "))
+                    << c.what << ": " << e.what();
+            }
+        }
+    });
 }
 
 TEST(Checkpoint, InjectedWriteCorruptionIsCaughtOnRestore)

@@ -18,6 +18,7 @@
 #include "common/logging.hh"
 #include "exp/sweep.hh"
 #include "exp/trace_pool.hh"
+#include "model/fingerprint.hh"
 #include "model/perf_model.hh"
 #include "obs/heartbeat.hh"
 #include "workload/workloads.hh"
@@ -264,6 +265,37 @@ TEST(TracePool, SynthesizesEachDistinctWorkloadOnce)
     pool.acquire(tpccProfile(), 2, 5000);
     pool.acquire(tpccProfile(), 1, 6000);
     EXPECT_EQ(pool.setsSynthesized(), 4u);
+}
+
+TEST(TracePool, KeysOnTheWholeProfile)
+{
+    // Custom workloads may share a name and a seed. A profile that
+    // differs in its mix or its regions is a different workload and
+    // must not be handed the other's traces.
+    exp::TracePool pool;
+    const WorkloadProfile base = tpccProfile();
+    WorkloadProfile mix = base;
+    mix.mix.load += 0.05;
+    WorkloadProfile regions = base;
+    ASSERT_FALSE(regions.userRegions.empty());
+    regions.userRegions[0].size *= 2;
+
+    const auto &a = pool.acquire(base, 1, 5000);
+    const auto &b = pool.acquire(mix, 1, 5000);
+    const auto &c = pool.acquire(regions, 1, 5000);
+    EXPECT_EQ(pool.setsSynthesized(), 3u);
+    EXPECT_NE(a[0].get(), b[0].get());
+    EXPECT_NE(a[0].get(), c[0].get());
+    EXPECT_NE(computeTraceFingerprint(*a[0]),
+              computeTraceFingerprint(*b[0]));
+    EXPECT_NE(computeTraceFingerprint(*a[0]),
+              computeTraceFingerprint(*c[0]));
+
+    // An identical profile, even as a separate object, is synthesized
+    // once.
+    const WorkloadProfile same = base;
+    EXPECT_EQ(pool.acquire(same, 1, 5000)[0].get(), a[0].get());
+    EXPECT_EQ(pool.setsSynthesized(), 3u);
 }
 
 TEST(TracePool, SweepPointsShareOneTrace)

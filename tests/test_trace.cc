@@ -1,9 +1,19 @@
 #include "trace/trace.hh"
 
+#include <cstdint>
+#include <latch>
+#include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "model/fingerprint.hh"
 #include "trace/filters.hh"
+#include "workload/generator.hh"
+#include "workload/workloads.hh"
 
 namespace s64v
 {
@@ -154,6 +164,93 @@ TEST(Trace, SummaryFractions)
     EXPECT_DOUBLE_EQ(s.takenFraction, 1.0);
     EXPECT_EQ(s.distinctBranchPcs, 1u);
     EXPECT_FALSE(s.toString().empty());
+}
+
+// --- Memoized fingerprint -----------------------------------------
+
+InstrTrace
+sampleWorkloadTrace()
+{
+    return TraceGenerator(tpccProfile(), 1).generate(3001, 0);
+}
+
+TEST(TraceFingerprint, MemoEqualsAFreshHashOfTheSameBytes)
+{
+    const InstrTrace t = sampleWorkloadTrace();
+    const std::uint64_t first = fingerprintTrace(t);
+    EXPECT_EQ(fingerprintTrace(t), first); // the memo hit.
+    EXPECT_EQ(computeTraceFingerprint(t), first);
+
+    // A trace rebuilt record by record never saw the memo.
+    InstrTrace rebuilt(t.workloadName());
+    for (const TraceRecord &r : t.records())
+        rebuilt.append(r);
+    EXPECT_EQ(fingerprintTrace(rebuilt), first);
+}
+
+TEST(TraceFingerprint, MutationInvalidatesTheMemo)
+{
+    InstrTrace t = sampleWorkloadTrace();
+    const std::uint64_t before = fingerprintTrace(t);
+
+    t.append(makeRec(0x100, InstrClass::IntAlu));
+    const std::uint64_t appended = fingerprintTrace(t);
+    EXPECT_NE(appended, before);
+    EXPECT_EQ(appended, computeTraceFingerprint(t));
+
+    const std::string name = t.workloadName();
+    t.setWorkloadName(name + "-renamed");
+    EXPECT_NE(fingerprintTrace(t), appended);
+    EXPECT_EQ(fingerprintTrace(t), computeTraceFingerprint(t));
+    t.setWorkloadName(name);
+    EXPECT_EQ(fingerprintTrace(t), appended);
+}
+
+TEST(TraceFingerprint, CopiesAndMovesHashEqual)
+{
+    InstrTrace t = sampleWorkloadTrace();
+    const InstrTrace unhashed_copy = t;
+    const std::uint64_t want = fingerprintTrace(t);
+    EXPECT_EQ(fingerprintTrace(unhashed_copy), want);
+
+    InstrTrace copy = t; // carries the memo.
+    EXPECT_EQ(fingerprintTrace(copy), want);
+    copy.append(makeRec(0x100, InstrClass::IntAlu));
+    EXPECT_NE(fingerprintTrace(copy), want);
+    EXPECT_EQ(fingerprintTrace(t), want); // the original is untouched.
+
+    copy = t;
+    EXPECT_EQ(fingerprintTrace(copy), want);
+    InstrTrace moved = std::move(copy);
+    EXPECT_EQ(fingerprintTrace(moved), want);
+    // Whatever a moved-from trace holds, its memo matches it.
+    EXPECT_EQ(fingerprintTrace(copy), computeTraceFingerprint(copy));
+    copy = std::move(moved);
+    EXPECT_EQ(fingerprintTrace(copy), want);
+    EXPECT_EQ(fingerprintTrace(moved), computeTraceFingerprint(moved));
+}
+
+TEST(TraceFingerprint, ConcurrentFirstUseAgrees)
+{
+    // Sweep workers checkpointing points that share one pooled trace
+    // race to fill its memo; every one must see the same value.
+    const auto trace =
+        std::make_shared<const InstrTrace>(sampleWorkloadTrace());
+    constexpr unsigned kThreads = 8;
+    std::vector<std::uint64_t> got(kThreads, 0);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            got[i] = fingerprintTrace(*trace);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    const std::uint64_t want = computeTraceFingerprint(*trace);
+    for (unsigned i = 0; i < kThreads; ++i)
+        EXPECT_EQ(got[i], want) << "thread " << i;
 }
 
 } // namespace
