@@ -10,6 +10,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -122,6 +123,51 @@ atomicWriteFile(const std::string &path,
         return false;
     }
     return syncParentDir(path, err);
+}
+
+bool
+readWholeFile(const std::string &path, std::uint64_t maxBytes,
+              FileBytes &out, std::string *err)
+{
+    int fd;
+    do {
+        fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    } while (fd < 0 && errno == EINTR);
+    if (fd < 0) {
+        setErr(err, "cannot open");
+        return false;
+    }
+    const auto fail = [&](const std::string &what) {
+        if (err)
+            *err = what;
+        ::close(fd);
+        return false;
+    };
+
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode))
+        return fail("not a regular file");
+    if (st.st_size < 0 ||
+        static_cast<std::uint64_t>(st.st_size) > maxBytes) {
+        return fail("implausible size " + std::to_string(st.st_size) +
+                    " bytes");
+    }
+    // Every byte is read over before anything looks at it, so the
+    // buffer is left uninitialized rather than zero-filled first.
+    const auto size = static_cast<std::size_t>(st.st_size);
+    auto data = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+    for (std::size_t got = 0; got < size;) {
+        const ssize_t n = ::read(fd, data.get() + got, size - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return fail("short read");
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    out.data = std::move(data);
+    out.size = size;
+    return true;
 }
 
 AppendFile::~AppendFile()

@@ -8,12 +8,16 @@
  * filesystem is atomic) and fsyncs the directory, so a write reported
  * done survives a power loss; AppendFile gives line-granular
  * durability for journals, where each append is written and fsynced
- * as a unit.
+ * as a unit. readWholeFile() is the matching one-pass reader for
+ * binary artifacts such as checkpoints.
  */
 
 #ifndef S64V_COMMON_FILE_UTIL_HH
 #define S64V_COMMON_FILE_UTIL_HH
 
+#include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -42,6 +46,23 @@ atomicWriteFile(const std::string &path, std::string_view data,
 {
     return atomicWriteFile(path, std::span(&data, 1), err);
 }
+
+/** The bytes of a whole file, in storage that was never zero-filled. */
+struct FileBytes
+{
+    std::unique_ptr<std::uint8_t[]> data;
+    std::size_t size = 0;
+};
+
+/**
+ * Read the whole regular file @p path into @p out with one
+ * open/fstat/read loop (retrying on EINTR). A file larger than
+ * @p maxBytes is refused before anything is allocated. @return false
+ * (with the reason in @p err if non-null) if the file cannot be
+ * opened, is not a regular file, is too large, or ends early.
+ */
+bool readWholeFile(const std::string &path, std::uint64_t maxBytes,
+                   FileBytes &out, std::string *err = nullptr);
 
 /**
  * Append-only file handle for JSONL journals: each append() is one

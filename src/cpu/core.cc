@@ -961,6 +961,10 @@ Core::restoreState(ckpt::SnapshotReader &r)
     lsq_->restoreState(r);
     rename_->restoreState(r);
     window_.restoreState(r);
+    for (const LoadCompletion &lc : lsq_->completedLoads()) {
+        r.require(window_.contains(lc.seq),
+                  "pending load completion outside the window");
+    }
     for (auto &rs : rs_) {
         if (rs)
             rs->restoreState(r);

@@ -3,8 +3,9 @@
  * Tests for the durable file-writing primitives (common/file_util.hh):
  * concurrent atomic writes of one path must each succeed and leave one
  * whole content behind, a gathered write must equal the concatenation
- * of its pieces however many there are, and an append file must
- * create and then extend a journal.
+ * of its pieces however many there are, an append file must create
+ * and then extend a journal, and a whole-file read must return the
+ * bytes or refuse cleanly.
  */
 
 #include <filesystem>
@@ -124,6 +125,42 @@ TEST(FileUtil, AppendFileCreatesThenExtends)
     AppendFile bad;
     EXPECT_FALSE(bad.open(tempPath("no_such_dir/append.jsonl"), &err));
     EXPECT_FALSE(bad.isOpen());
+    std::filesystem::remove(path);
+}
+
+TEST(FileUtil, ReadWholeFileReturnsTheBytesOrRefuses)
+{
+    const std::string path = tempPath("whole.bin");
+    std::string content(100000, '\0');
+    for (std::size_t i = 0; i < content.size(); ++i)
+        content[i] = static_cast<char>(i * 131);
+    std::string err;
+    ASSERT_TRUE(atomicWriteFile(path, content, &err)) << err;
+
+    FileBytes got;
+    ASSERT_TRUE(readWholeFile(path, content.size(), got, &err)) << err;
+    ASSERT_EQ(got.size, content.size());
+    EXPECT_EQ(std::string_view(reinterpret_cast<const char *>(
+                                   got.data.get()),
+                               got.size),
+              content);
+
+    // Refused before anything is allocated: the bound, a missing
+    // file, a directory.
+    FileBytes none;
+    EXPECT_FALSE(readWholeFile(path, content.size() - 1, none, &err));
+    EXPECT_TRUE(err.starts_with("implausible size")) << err;
+    EXPECT_FALSE(readWholeFile(tempPath("no_such.bin"), 1u << 20, none,
+                               &err));
+    EXPECT_TRUE(err.starts_with("cannot open")) << err;
+    EXPECT_FALSE(readWholeFile(::testing::TempDir(), 1u << 20, none,
+                               &err));
+    EXPECT_EQ(err, "not a regular file");
+    EXPECT_EQ(none.data, nullptr);
+
+    ASSERT_TRUE(atomicWriteFile(path, std::string_view(), &err)) << err;
+    ASSERT_TRUE(readWholeFile(path, 0, got, &err)) << err;
+    EXPECT_EQ(got.size, 0u);
     std::filesystem::remove(path);
 }
 
