@@ -17,8 +17,8 @@ std::atomic<int> seededBugOverride{-1};
 bool
 seededBugArmed()
 {
-    // Relaxed: the gate sits on the cache-miss path, and arming is a
-    // test-setup action, not something raced against live lookups.
+    // Relaxed: arming is a test-setup action, not something raced
+    // against the runs that read it.
     const int v = seededBugOverride.load(std::memory_order_relaxed);
     if (v >= 0)
         return v != 0;

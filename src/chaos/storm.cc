@@ -187,7 +187,7 @@ childCheckpointRoundTrip(const ChaosPoint &p, const CasePaths &paths)
     std::_Exit(kUndetectedExit); // corrupt snapshot accepted.
 }
 
-/** Journalled two-point sweep whose append `at` is torn mid-line,
+/** Journalled two-point sweep whose append `at` is torn mid-record,
  *  then a resume that must recover every point. */
 [[noreturn]] void
 childJournalTearResume(const ChaosPoint &p, const CasePaths &paths)

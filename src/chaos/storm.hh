@@ -21,7 +21,7 @@
  *   corrupt-ckpt        restore rejects the bit-flipped snapshot via
  *                       fatal() (86). A successful restore is silent
  *                       corruption: a violation.
- *   truncate-journal    the torn journal line is skipped on resume
+ *   truncate-journal    the torn journal record is skipped on resume
  *                       and the sweep still completes cleanly.
  *
  * Any other outcome — a hang (the child is SIGKILLed after a

@@ -27,9 +27,9 @@
  *                        it via fatal(), never crash or restore
  *                        garbage).
  *   truncate-journal:<n> the n-th journal append (0-based) writes
- *                        only half its line and drops the rest — a
+ *                        only half its record and drops the rest — a
  *                        crash mid-append (resume must skip the torn
- *                        line and re-run that point).
+ *                        record and re-run that point).
  *
  * While any fault plan is armed, fatal() exits with
  * kInjectedFaultExitCode instead of 1, so harnesses watching a child
@@ -55,7 +55,7 @@ enum class FaultKind : std::uint8_t
     TraceCorrupt,  ///< trace record `at` is bit-flipped on write.
     KillPoint,     ///< abrupt process death at cycle `at` of a run.
     CorruptCheckpoint, ///< one bit of a written checkpoint flipped.
-    TruncateJournal,   ///< journal append `at` torn mid-line.
+    TruncateJournal,   ///< journal append `at` torn mid-record.
 };
 
 /**

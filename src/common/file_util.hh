@@ -6,10 +6,10 @@
  * atomicWriteFile() stages the content in a temp file in the target
  * directory, fsyncs it, renames it into place (rename(2) on one
  * filesystem is atomic) and fsyncs the directory, so a write reported
- * done survives a power loss; AppendFile gives line-granular
+ * done survives a power loss; AppendFile gives record-granular
  * durability for journals, where each append is written and fsynced
  * as a unit. readWholeFile() is the matching one-pass reader for
- * binary artifacts such as checkpoints.
+ * binary artifacts such as checkpoints and journals.
  */
 
 #ifndef S64V_COMMON_FILE_UTIL_HH
@@ -65,11 +65,12 @@ bool readWholeFile(const std::string &path, std::uint64_t maxBytes,
                    FileBytes &out, std::string *err = nullptr);
 
 /**
- * Append-only file handle for JSONL journals: each append() is one
+ * Append-only file handle for record journals: each append() is one
  * write(2) followed by fsync(2), so a crash can truncate at most the
- * line being appended (and only mid-write). Opens with O_APPEND so
- * concurrent appenders from one process interleave at line, not byte,
- * granularity (callers still serialize with a mutex for ordering).
+ * record being appended (and only mid-write). Opens with O_APPEND so
+ * concurrent appenders from one process interleave at record, not
+ * byte, granularity (callers still serialize with a mutex for
+ * ordering).
  */
 class AppendFile
 {

@@ -1,14 +1,15 @@
 #include "exp/journal.hh"
 
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <algorithm>
+#include <bit>
+#include <cerrno>
 #include <utility>
 
+#include <unistd.h>
+
 #include "check/fault_inject.hh"
+#include "ckpt/snapshot.hh"
 #include "common/logging.hh"
-#include "obs/json.hh"
 
 namespace s64v::exp
 {
@@ -16,346 +17,172 @@ namespace s64v::exp
 namespace
 {
 
-std::uint64_t
-doubleBits(double v)
+/** Record magic; its last character is the journal format version. */
+constexpr std::string_view kMagic = "S64VJRN2";
+/** Magic plus the u32 payload length; the u64 checksum follows. */
+constexpr std::size_t kHeadBytes = kMagic.size() + 4;
+constexpr std::size_t kTailBytes = 8;
+
+/** SimResult flags, packed into one payload byte. @{ */
+constexpr std::uint64_t kHitCycleCap = 1;
+constexpr std::uint64_t kInterrupted = 2;
+constexpr std::uint64_t kStoppedAtCheckpoint = 4;
+/** @} */
+
+/** Smallest encoding of a core (4 x u64) and a metric (empty name). */
+constexpr std::size_t kCoreBytes = 32;
+constexpr std::size_t kMinMetricBytes = 4 + 8;
+
+void
+putLe(std::string &out, std::uint64_t v, std::size_t n = 8)
 {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    return bits;
+    std::uint8_t b[8];
+    ckpt::storeLe(b, v, n);
+    out.append(reinterpret_cast<const char *>(b), n);
 }
 
-double
-bitsDouble(std::uint64_t bits)
+void
+putStr(std::string &out, std::string_view s)
 {
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
+    putLe(out, s.size(), 4);
+    out.append(s);
 }
-
-constexpr std::uint32_t kJournalSchemaVersion = 1;
 
 /**
- * Minimal JSON document model for reading our own journal lines back.
- * The simulator otherwise only *writes* JSON; this parser accepts the
- * full JSON grammar (so a hand-edited or foreign line fails cleanly,
- * not unpredictably) but keeps numbers as raw text — journal numbers
- * are all u64, parsed on demand.
+ * Bounds-checked payload reader. Every read checks the bytes left
+ * first. A short read, or a string length or table count that the
+ * bytes left cannot back, marks the reader bad and yields zero or
+ * empty from then on, so nothing is allocated from an unbacked length.
  */
-struct Jv
-{
-    enum class Kind : std::uint8_t { Null, Bool, Num, Str, Arr, Obj };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    std::string text; ///< Str content or Num raw spelling.
-    std::vector<Jv> items;
-    std::vector<std::pair<std::string, Jv>> fields;
-
-    const Jv *
-    find(const char *key) const
-    {
-        for (const auto &[k, v] : fields) {
-            if (k == key)
-                return &v;
-        }
-        return nullptr;
-    }
-};
-
-class JsonParser
+class Decoder
 {
   public:
-    explicit JsonParser(std::string_view text) : text_(text) {}
+    Decoder(const std::uint8_t *p, std::size_t n) : p_(p), left_(n) {}
 
-    bool
-    parse(Jv &out)
+    std::uint64_t
+    le(std::size_t n = 8)
     {
-        return value(out) && (skipWs(), pos_ == text_.size());
+        if (left_ < n) {
+            fail();
+            return 0;
+        }
+        const std::uint64_t v = ckpt::loadLe(p_, n);
+        skip(n);
+        return v;
     }
+
+    double f64() { return std::bit_cast<double>(le()); }
+
+    std::string
+    str()
+    {
+        const std::uint64_t len = le(4);
+        if (len > left_) {
+            fail();
+            return {};
+        }
+        std::string s(reinterpret_cast<const char *>(p_), len);
+        skip(len);
+        return s;
+    }
+
+    /** A table count whose entries take at least @p min_bytes each. */
+    std::uint64_t
+    count(std::size_t min_bytes)
+    {
+        const std::uint64_t n = le(4);
+        if (n > left_ / min_bytes) {
+            fail();
+            return 0;
+        }
+        return n;
+    }
+
+    /** Whether every read fit and the payload is used up exactly. */
+    bool finished() const { return !bad_ && left_ == 0; }
 
   private:
     void
-    skipWs()
+    skip(std::size_t n)
     {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
+        p_ += n;
+        left_ -= n;
     }
 
-    bool
-    eat(char c)
+    void
+    fail()
     {
-        skipWs();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return false;
-        ++pos_;
-        return true;
+        bad_ = true;
+        left_ = 0;
     }
 
-    bool
-    literal(const char *word)
-    {
-        const std::size_t n = std::strlen(word);
-        if (text_.compare(pos_, n, word) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    bool
-    string(std::string &out)
-    {
-        if (!eat('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (static_cast<unsigned char>(c) < 0x20)
-                return false;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return false;
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"': out.push_back('"'); break;
-              case '\\': out.push_back('\\'); break;
-              case '/': out.push_back('/'); break;
-              case 'b': out.push_back('\b'); break;
-              case 'f': out.push_back('\f'); break;
-              case 'n': out.push_back('\n'); break;
-              case 'r': out.push_back('\r'); break;
-              case 't': out.push_back('\t'); break;
-              case 'u': {
-                  if (pos_ + 4 > text_.size())
-                      return false;
-                  unsigned cp = 0;
-                  for (int i = 0; i < 4; ++i) {
-                      const char h = text_[pos_++];
-                      cp <<= 4;
-                      if (h >= '0' && h <= '9')
-                          cp |= static_cast<unsigned>(h - '0');
-                      else if (h >= 'a' && h <= 'f')
-                          cp |= static_cast<unsigned>(h - 'a' + 10);
-                      else if (h >= 'A' && h <= 'F')
-                          cp |= static_cast<unsigned>(h - 'A' + 10);
-                      else
-                          return false;
-                  }
-                  // UTF-8 encode (surrogate pairs unsupported; our
-                  // writer never emits them).
-                  if (cp < 0x80) {
-                      out.push_back(static_cast<char>(cp));
-                  } else if (cp < 0x800) {
-                      out.push_back(
-                          static_cast<char>(0xc0 | (cp >> 6)));
-                      out.push_back(
-                          static_cast<char>(0x80 | (cp & 0x3f)));
-                  } else {
-                      out.push_back(
-                          static_cast<char>(0xe0 | (cp >> 12)));
-                      out.push_back(static_cast<char>(
-                          0x80 | ((cp >> 6) & 0x3f)));
-                      out.push_back(
-                          static_cast<char>(0x80 | (cp & 0x3f)));
-                  }
-                  break;
-              }
-              default:
-                return false;
-            }
-        }
-        return false; // unterminated.
-    }
-
-    bool
-    number(Jv &out)
-    {
-        const std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        auto digits = [&]() {
-            const std::size_t d = pos_;
-            while (pos_ < text_.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
-            return pos_ > d;
-        };
-        if (!digits())
-            return false;
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            if (!digits())
-                return false;
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            if (!digits())
-                return false;
-        }
-        out.kind = Jv::Kind::Num;
-        out.text = std::string(text_.substr(start, pos_ - start));
-        return true;
-    }
-
-    /** Deepest value nesting accepted. A valid line nests containers
-     *  4 deep (root, sim, cores, core); the bound keeps a hostile
-     *  line from exhausting the stack by recursion. */
-    static constexpr unsigned kMaxDepth = 8;
-
-    bool
-    value(Jv &out, unsigned depth = 0)
-    {
-        skipWs();
-        if (pos_ >= text_.size() || depth > kMaxDepth)
-            return false;
-        const char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out.kind = Jv::Kind::Obj;
-            skipWs();
-            if (eat('}'))
-                return true;
-            for (;;) {
-                std::string key;
-                skipWs();
-                if (!string(key) || !eat(':'))
-                    return false;
-                Jv v;
-                if (!value(v, depth + 1))
-                    return false;
-                out.fields.emplace_back(std::move(key),
-                                        std::move(v));
-                if (eat('}'))
-                    return true;
-                if (!eat(','))
-                    return false;
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out.kind = Jv::Kind::Arr;
-            skipWs();
-            if (eat(']'))
-                return true;
-            for (;;) {
-                Jv v;
-                if (!value(v, depth + 1))
-                    return false;
-                out.items.push_back(std::move(v));
-                if (eat(']'))
-                    return true;
-                if (!eat(','))
-                    return false;
-            }
-        }
-        if (c == '"') {
-            out.kind = Jv::Kind::Str;
-            return string(out.text);
-        }
-        if (c == 't') {
-            out.kind = Jv::Kind::Bool;
-            out.boolean = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out.kind = Jv::Kind::Bool;
-            out.boolean = false;
-            return literal("false");
-        }
-        if (c == 'n') {
-            out.kind = Jv::Kind::Null;
-            return literal("null");
-        }
-        return number(out);
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
+    const std::uint8_t *p_;
+    std::size_t left_;
+    bool bad_ = false;
 };
 
-/** Typed field extraction; each returns false on absent/mistyped. @{ */
 bool
-getU64(const Jv &obj, const char *key, std::uint64_t &out)
+decodePayload(const std::uint8_t *p, std::size_t n, JournalEntry &out)
 {
-    const Jv *v = obj.find(key);
-    if (!v || v->kind != Jv::Kind::Num || v->text.empty() ||
-        v->text[0] == '-')
-        return false;
-    out = std::strtoull(v->text.c_str(), nullptr, 10);
-    return true;
-}
-
-bool
-getStr(const Jv &obj, const char *key, std::string &out)
-{
-    const Jv *v = obj.find(key);
-    if (!v || v->kind != Jv::Kind::Str)
-        return false;
-    out = v->text;
-    return true;
-}
-
-bool
-getBool(const Jv &obj, const char *key, bool &out)
-{
-    const Jv *v = obj.find(key);
-    if (!v || v->kind != Jv::Kind::Bool)
-        return false;
-    out = v->boolean;
-    return true;
-}
-/** @} */
-
-bool
-decodeSim(const Jv &obj, SimResult &sim)
-{
-    std::uint64_t u = 0;
-    if (!getU64(obj, "cycles", u))
-        return false;
-    sim.cycles = u;
-    if (!getU64(obj, "instructions", sim.instructions) ||
-        !getU64(obj, "measured", sim.measured))
-        return false;
-    if (!getU64(obj, "ipc_bits", u))
-        return false;
-    sim.ipc = bitsDouble(u);
-    if (!getBool(obj, "hit_cycle_cap", sim.hitCycleCap) ||
-        !getBool(obj, "interrupted", sim.interrupted) ||
-        !getBool(obj, "stopped_at_checkpoint",
-                 sim.stoppedAtCheckpoint))
-        return false;
-    if (!getU64(obj, "warmup_end", u))
-        return false;
-    sim.warmupEndCycle = u;
-    const Jv *cores = obj.find("cores");
-    if (!cores || cores->kind != Jv::Kind::Arr)
-        return false;
-    for (const Jv &c : cores->items) {
-        if (c.kind != Jv::Kind::Obj)
-            return false;
-        CoreResult cr;
-        if (!getU64(c, "committed", cr.committed) ||
-            !getU64(c, "measured", cr.measured))
-            return false;
-        if (!getU64(c, "last_commit", u))
-            return false;
-        cr.lastCommitCycle = u;
-        if (!getU64(c, "ipc_bits", u))
-            return false;
-        cr.ipc = bitsDouble(u);
-        sim.cores.push_back(cr);
+    Decoder d(p, n);
+    JournalEntry e;
+    e.index = d.le();
+    e.label = d.str();
+    e.configHash = d.le();
+    e.workloadHash = d.le();
+    e.modelVersion = d.str();
+    const std::uint64_t status = d.le(1);
+    e.attempts = static_cast<std::uint32_t>(d.le(4));
+    e.error = d.str();
+    e.sim.cycles = d.le();
+    e.sim.instructions = d.le();
+    e.sim.measured = d.le();
+    e.sim.ipc = d.f64();
+    e.sim.warmupEndCycle = d.le();
+    const std::uint64_t flags = d.le(1);
+    e.sim.hitCycleCap = flags & kHitCycleCap;
+    e.sim.interrupted = flags & kInterrupted;
+    e.sim.stoppedAtCheckpoint = flags & kStoppedAtCheckpoint;
+    e.sim.cores.resize(d.count(kCoreBytes));
+    for (CoreResult &c : e.sim.cores) {
+        c.committed = d.le();
+        c.measured = d.le();
+        c.lastCommitCycle = d.le();
+        c.ipc = d.f64();
     }
+    for (std::uint64_t m = d.count(kMinMetricBytes); m > 0; --m) {
+        std::string name = d.str();
+        e.metrics[std::move(name)] = d.f64();
+    }
+    if (!d.finished() || status > 1 ||
+        (flags & ~(kHitCycleCap | kInterrupted | kStoppedAtCheckpoint)))
+        return false;
+    e.status = status == 0 ? "ok" : "failed";
+    out = std::move(e);
     return true;
+}
+
+/**
+ * Decode the record at the start of @p bytes into @p out. @return the
+ * record's size, or 0 if @p bytes does not start with one whole valid
+ * record: bad magic, a length past the end, a checksum mismatch, or a
+ * payload that does not decode to exactly its length.
+ */
+std::size_t
+decodeRecord(std::string_view bytes, JournalEntry &out)
+{
+    if (bytes.size() < kHeadBytes + kTailBytes ||
+        !bytes.starts_with(kMagic))
+        return 0;
+    const auto *p = reinterpret_cast<const std::uint8_t *>(bytes.data());
+    const std::uint64_t len = ckpt::loadLe(p + kMagic.size(), 4);
+    if (len > bytes.size() - kHeadBytes - kTailBytes)
+        return 0;
+    const std::uint8_t *payload = p + kHeadBytes;
+    if (ckpt::loadLe(payload + len) != ckpt::hashBytes(payload, len) ||
+        !decodePayload(payload, len, out))
+        return 0;
+    return kHeadBytes + len + kTailBytes;
 }
 
 } // namespace
@@ -363,87 +190,51 @@ decodeSim(const Jv &obj, SimResult &sim)
 std::string
 encodeJournalEntry(const JournalEntry &e)
 {
-    obs::JsonWriter w;
-    w.beginObject();
-    w.field("v", std::uint64_t{kJournalSchemaVersion});
-    w.field("index", e.index);
-    w.field("label", e.label);
-    w.field("config", e.configHash);
-    w.field("workload", e.workloadHash);
-    w.field("model", e.modelVersion);
-    w.field("status", e.status);
-    w.field("attempts", std::uint64_t{e.attempts});
-    w.field("error", e.error);
-    w.beginObject("sim");
-    w.field("cycles", std::uint64_t{e.sim.cycles});
-    w.field("instructions", e.sim.instructions);
-    w.field("measured", e.sim.measured);
-    w.field("ipc_bits", doubleBits(e.sim.ipc));
-    w.field("hit_cycle_cap", e.sim.hitCycleCap);
-    w.field("interrupted", e.sim.interrupted);
-    w.field("stopped_at_checkpoint", e.sim.stoppedAtCheckpoint);
-    w.field("warmup_end", std::uint64_t{e.sim.warmupEndCycle});
-    w.beginArray("cores");
-    for (const CoreResult &cr : e.sim.cores) {
-        w.beginObject();
-        w.field("committed", cr.committed);
-        w.field("measured", cr.measured);
-        w.field("last_commit", std::uint64_t{cr.lastCommitCycle});
-        w.field("ipc_bits", doubleBits(cr.ipc));
-        w.end();
+    std::string rec(kMagic);
+    putLe(rec, 0, 4); // payload length, filled in below.
+    putLe(rec, e.index);
+    putStr(rec, e.label);
+    putLe(rec, e.configHash);
+    putLe(rec, e.workloadHash);
+    putStr(rec, e.modelVersion);
+    putLe(rec, e.status == "ok" ? 0 : 1, 1);
+    putLe(rec, e.attempts, 4);
+    putStr(rec, e.error);
+    putLe(rec, e.sim.cycles);
+    putLe(rec, e.sim.instructions);
+    putLe(rec, e.sim.measured);
+    putLe(rec, std::bit_cast<std::uint64_t>(e.sim.ipc));
+    putLe(rec, e.sim.warmupEndCycle);
+    putLe(rec,
+          (e.sim.hitCycleCap ? kHitCycleCap : 0) |
+              (e.sim.interrupted ? kInterrupted : 0) |
+              (e.sim.stoppedAtCheckpoint ? kStoppedAtCheckpoint : 0),
+          1);
+    putLe(rec, e.sim.cores.size(), 4);
+    for (const CoreResult &c : e.sim.cores) {
+        putLe(rec, c.committed);
+        putLe(rec, c.measured);
+        putLe(rec, c.lastCommitCycle);
+        putLe(rec, std::bit_cast<std::uint64_t>(c.ipc));
     }
-    w.end(); // cores
-    w.end(); // sim
-    w.beginObject("metrics");
-    for (const auto &[name, value] : e.metrics)
-        w.field(name, doubleBits(value));
-    w.end(); // metrics
-    w.end();
-    return w.str();
+    putLe(rec, e.metrics.size(), 4);
+    for (const auto &[name, value] : e.metrics) {
+        putStr(rec, name);
+        putLe(rec, std::bit_cast<std::uint64_t>(value));
+    }
+    const std::size_t len = rec.size() - kHeadBytes;
+    auto *p = reinterpret_cast<std::uint8_t *>(rec.data());
+    ckpt::storeLe(p + kMagic.size(), len, 4);
+    const std::uint64_t sum = ckpt::hashBytes(p + kHeadBytes, len);
+    putLe(rec, sum);
+    return rec;
 }
 
 bool
-decodeJournalEntry(std::string_view line, JournalEntry &out)
+decodeJournalEntry(std::string_view record, JournalEntry &out)
 {
-    Jv doc;
-    if (!JsonParser(line).parse(doc) || doc.kind != Jv::Kind::Obj)
-        return false;
-    std::uint64_t v = 0;
-    if (!getU64(doc, "v", v) || v != kJournalSchemaVersion)
-        return false;
-    std::uint64_t attempts = 0;
-    if (!getU64(doc, "index", out.index) ||
-        !getStr(doc, "label", out.label) ||
-        !getU64(doc, "config", out.configHash) ||
-        !getU64(doc, "workload", out.workloadHash) ||
-        !getStr(doc, "model", out.modelVersion) ||
-        !getStr(doc, "status", out.status) ||
-        !getU64(doc, "attempts", attempts) ||
-        !getStr(doc, "error", out.error))
-        return false;
-    out.attempts = static_cast<std::uint32_t>(attempts);
-    if (out.status == "quarantined")
-        out.status = "failed";
-    if (out.status != "ok" && out.status != "failed")
-        return false;
-    const Jv *sim = doc.find("sim");
-    if (!sim || sim->kind != Jv::Kind::Obj)
-        return false;
-    out.sim = SimResult{};
-    if (!decodeSim(*sim, out.sim))
-        return false;
-    const Jv *metrics = doc.find("metrics");
-    if (!metrics || metrics->kind != Jv::Kind::Obj)
-        return false;
-    out.metrics.clear();
-    for (const auto &[name, value] : metrics->fields) {
-        if (value.kind != Jv::Kind::Num || value.text.empty() ||
-            value.text[0] == '-')
-            return false;
-        out.metrics[name] = bitsDouble(
-            std::strtoull(value.text.c_str(), nullptr, 10));
-    }
-    return true;
+    const std::size_t n = decodeRecord(record, out);
+    return n != 0 && n == record.size();
 }
 
 bool
@@ -460,8 +251,7 @@ RunJournal::append(const JournalEntry &e)
     if (!file_.isOpen())
         return;
     const std::uint64_t ordinal = appends_++;
-    std::string line = encodeJournalEntry(e);
-    line.push_back('\n');
+    const std::string record = encodeJournalEntry(e);
 
     if (dead_)
         return; // torn by the injected fault; the "crash" happened.
@@ -469,12 +259,12 @@ RunJournal::append(const JournalEntry &e)
     if (fault.active(check::FaultKind::TruncateJournal) &&
         ordinal == fault.at) {
         warn("fault injection: tearing journal append %llu of '%s' "
-             "mid-line",
+             "mid-record",
              static_cast<unsigned long long>(ordinal),
              file_.path().c_str());
         std::string err;
         if (!file_.append(
-                std::string_view(line).substr(0, line.size() / 2),
+                std::string_view(record).substr(0, record.size() / 2),
                 &err))
             warn("journal append failed: %s", err.c_str());
         dead_ = true;
@@ -482,7 +272,7 @@ RunJournal::append(const JournalEntry &e)
     }
 
     std::string err;
-    if (!file_.append(line, &err)) {
+    if (!file_.append(record, &err)) {
         warn("journal append to '%s' failed: %s",
              file_.path().c_str(), err.c_str());
     }
@@ -492,37 +282,45 @@ std::vector<JournalEntry>
 RunJournal::load(const std::string &path)
 {
     std::vector<JournalEntry> entries;
-    std::ifstream in(path);
-    if (!in)
+    if (::access(path.c_str(), F_OK) != 0 && errno == ENOENT)
         return entries; // absent journal: nothing completed yet.
-    std::string line;
-    std::size_t lineno = 0;
-    bool sawCorrupt = false;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        JournalEntry e;
-        if (decodeJournalEntry(line, e)) {
-            if (sawCorrupt) {
-                // Valid entries after a corrupt line mean interior
-                // damage, not a torn tail; say so once per line.
-                warn("journal '%s': line %zu was corrupt but later "
-                     "lines parse; skipped it",
-                     path.c_str(), lineno - 1);
-                sawCorrupt = false;
-            }
-            entries.push_back(std::move(e));
-        } else {
-            if (sawCorrupt) {
-                warn("journal '%s': skipping corrupt line %zu",
-                     path.c_str(), lineno - 1);
-            }
-            sawCorrupt = true; // may be the torn tail; defer verdict.
-        }
+    FileBytes file;
+    std::string err;
+    if (!readWholeFile(path, kMaxJournalBytes, file, &err))
+        fatal("journal '%s': %s", path.c_str(), err.c_str());
+    const std::string_view bytes(
+        reinterpret_cast<const char *>(file.data.get()), file.size);
+    if (bytes.starts_with('{')) {
+        fatal("journal '%s' is a v1 (JSONL) journal, which this build "
+              "no longer reads: a journal is a resume log, not an "
+              "archive; remove it and run the sweep again",
+              path.c_str());
     }
-    // A trailing unparsable line is the expected crash signature
-    // (append torn mid-write); skip it without noise.
+
+    // After damage, resynchronise at the next magic. Whether the
+    // damage was interior or the torn tail is known only once a later
+    // record decodes (or none does).
+    constexpr std::size_t kNoDamage = std::string_view::npos;
+    std::size_t damagedAt = kNoDamage;
+    for (std::size_t pos = 0; pos < bytes.size();) {
+        JournalEntry e;
+        const std::size_t n = decodeRecord(bytes.substr(pos), e);
+        if (n == 0) {
+            damagedAt = std::min(damagedAt, pos);
+            pos = std::min(bytes.find(kMagic, pos + 1), bytes.size());
+            continue;
+        }
+        if (damagedAt != kNoDamage) {
+            warn("journal '%s': skipped %zu damaged bytes at offset %zu; "
+                 "later records are intact",
+                 path.c_str(), pos - damagedAt, damagedAt);
+            damagedAt = kNoDamage;
+        }
+        entries.push_back(std::move(e));
+        pos += n;
+    }
+    // Damage with no valid record after it is a torn final append,
+    // the normal crash signature: skipped without noise.
     return entries;
 }
 

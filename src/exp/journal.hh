@@ -1,6 +1,6 @@
 /**
  * @file
- * Write-ahead run journal for sweeps: one JSONL line per finished
+ * Write-ahead run journal for sweeps: one binary record per finished
  * run of a point, appended and fsynced before the in-memory result is
  * merged, so a killed sweep loses at most the points that were still
  * running. Each entry is keyed on the point's position plus hashes of
@@ -9,9 +9,13 @@
  * only honours entries whose keys still match, so an edited sweep or
  * a rebuilt model silently re-runs instead of mixing stale results.
  *
- * Doubles (IPC, metrics) are stored as their IEEE-754 bit patterns so
- * a resumed sweep's merged results are bit-identical to an
- * uninterrupted run's, not merely close.
+ * A record is self-describing: the magic "S64VJRN2" (format v2), a
+ * u32 payload length, the little-endian payload, and a u64
+ * ckpt::hashBytes() checksum of the payload. Doubles (IPC, metrics)
+ * travel as their IEEE-754 bit patterns, so a resumed sweep's merged
+ * results are bit-identical to an uninterrupted run's, not merely
+ * close. A journal is a resume log, not an archive: the v1 (JSONL)
+ * format is refused, not converted.
  */
 
 #ifndef S64V_EXP_JOURNAL_HH
@@ -44,19 +48,21 @@ struct JournalEntry
     std::map<std::string, double> metrics;
 };
 
-/** Render @p e as one JSONL line (no trailing newline). */
+/** Largest journal RunJournal::load() reads (about 500 k entries). */
+constexpr std::uint64_t kMaxJournalBytes = std::uint64_t{256} << 20;
+
+/** Encode @p e as one whole record: magic, length, payload, checksum. */
 std::string encodeJournalEntry(const JournalEntry &e);
 
 /**
- * Parse one journal line. @return false on any malformation (torn
- * tail, corrupt interior, wrong schema version, nesting deeper than
- * any valid line) — the caller skips the line; a journal is advisory,
- * never trusted blindly. The legacy status "quarantined", written by
- * older builds, decodes as "failed".
+ * Decode @p record, which must be exactly one record. @return false on
+ * any damage (bad magic, length or checksum, a payload that does not
+ * decode to exactly its length, an unknown status or flag); @p out is
+ * then unspecified. A journal is advisory, never trusted blindly.
  */
-bool decodeJournalEntry(std::string_view line, JournalEntry &out);
+bool decodeJournalEntry(std::string_view record, JournalEntry &out);
 
-/** Append-side handle. Each append is fsynced as one line. */
+/** Append-side handle. Each append is fsynced as one record. */
 class RunJournal
 {
   public:
@@ -71,17 +77,21 @@ class RunJournal
 
     /**
      * Append one entry. Honours the truncate-journal fault plan: the
-     * configured append writes only half its line and the journal
+     * configured append writes only half its record and the journal
      * goes dead, modelling a crash mid-append. I/O failures warn and
      * continue — losing durability must not kill the sweep itself.
      */
     void append(const JournalEntry &e);
 
     /**
-     * Load every well-formed entry of @p path, in file order. A
-     * missing file is an empty journal; a torn final line is the
-     * normal crash signature and is skipped silently; a corrupt
-     * interior line is skipped with a warning naming the line number.
+     * Load every valid record of @p path, in file order, reading the
+     * file once (at most kMaxJournalBytes). A missing file is an empty
+     * journal. After damage the loader resynchronises at the next
+     * magic: damage with no valid record after it is a torn final
+     * append, the normal crash signature, and is skipped silently;
+     * interior damage is skipped with a warning naming its byte
+     * offset. fatal() on an unreadable or oversized file, and on a v1
+     * (JSONL) journal.
      */
     static std::vector<JournalEntry> load(const std::string &path);
 

@@ -154,51 +154,9 @@ SweepRunner::run(const Sweep &sweep)
             opts_.shuffle = true;
     }
 
-    // All trace synthesis happens here, serially, before any worker
-    // starts: N points over one workload share a single immutable
-    // trace, and generation order (hence every Rng stream) does not
-    // depend on the worker count.
-    TracePool pool;
-    std::vector<const TracePool::TraceSet *> traceSets(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        traceSets[i] = &pool.acquire(points[i].profile,
-                                     points[i].machine.sys.numCpus,
-                                     points[i].instrs);
-    }
-
-    // Process-level run machinery, once for the whole sweep. The
-    // embedded models skip their own installs. The triage sink
-    // aggregates every crashed point into one document instead of
-    // letting concurrent failures overwrite each other's report.
-    check::installSweepCrashTriage(
-        obs::runObsOptions().crashReportPath);
-    check::ScopedSignalGuard guard;
-    obs::beginSweepProgress(points.size());
-
-    const unsigned threads = effectiveThreads(points.size());
-    std::atomic<std::size_t> next{0};
-    const MetricFn &metricFn = sweep.metricFn();
-
-    // Dispatch order. Per-point Rng streams were fixed during the
-    // serial trace synthesis above, so any permutation here yields
-    // bit-identical results; shuffling only varies which point runs
-    // on which worker when.
-    std::vector<std::size_t> order(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-        order[i] = i;
-    if (opts_.shuffle && points.size() > 1) {
-        const std::uint64_t base = obs::globalSeedSet()
-            ? obs::runObsOptions().seed
-            : 1;
-        Rng rng(mixSeeds(base, 0x73687566666c65ull)); // "shuffle"
-        for (std::size_t i = points.size() - 1; i > 0; --i) {
-            const std::size_t j =
-                static_cast<std::size_t>(rng.below(i + 1));
-            std::swap(order[i], order[j]);
-        }
-    }
-
     // --- Durability: point keys, journal replay, write-ahead log ---
+    // First of all, so a journal that load() refuses ends the run
+    // before any trace is synthesized or process machinery installed.
     const bool journalled = !opts_.journalPath.empty();
     std::vector<std::uint64_t> configHash(points.size(), 0);
     std::vector<std::uint64_t> workloadHash(points.size(), 0);
@@ -256,6 +214,50 @@ SweepRunner::run(const Sweep &sweep)
             warn("cannot open run journal '%s': %s; sweep continues "
                  "without durability",
                  opts_.journalPath.c_str(), err.c_str());
+        }
+    }
+
+    // All trace synthesis happens here, serially, before any worker
+    // starts: N points over one workload share a single immutable
+    // trace, and generation order (hence every Rng stream) does not
+    // depend on the worker count.
+    TracePool pool;
+    std::vector<const TracePool::TraceSet *> traceSets(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        traceSets[i] = &pool.acquire(points[i].profile,
+                                     points[i].machine.sys.numCpus,
+                                     points[i].instrs);
+    }
+
+    // Process-level run machinery, once for the whole sweep. The
+    // embedded models skip their own installs. The triage sink
+    // aggregates every crashed point into one document instead of
+    // letting concurrent failures overwrite each other's report.
+    check::installSweepCrashTriage(
+        obs::runObsOptions().crashReportPath);
+    check::ScopedSignalGuard guard;
+    obs::beginSweepProgress(points.size());
+
+    const unsigned threads = effectiveThreads(points.size());
+    std::atomic<std::size_t> next{0};
+    const MetricFn &metricFn = sweep.metricFn();
+
+    // Dispatch order. Per-point Rng streams were fixed during the
+    // serial trace synthesis above, so any permutation here yields
+    // bit-identical results; shuffling only varies which point runs
+    // on which worker when.
+    std::vector<std::size_t> order(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i)
+        order[i] = i;
+    if (opts_.shuffle && points.size() > 1) {
+        const std::uint64_t base = obs::globalSeedSet()
+            ? obs::runObsOptions().seed
+            : 1;
+        Rng rng(mixSeeds(base, 0x73687566666c65ull)); // "shuffle"
+        for (std::size_t i = points.size() - 1; i > 0; --i) {
+            const std::size_t j =
+                static_cast<std::size_t>(rng.below(i + 1));
+            std::swap(order[i], order[j]);
         }
     }
 

@@ -114,9 +114,9 @@ struct SweepOptions
                        double agg_kips)> progressFn;
     /**
      * Write-ahead run journal (empty = none): every point that runs
-     * to completion or fails appends exactly one entry to this JSONL
-     * file, fsynced before its result is merged, so a killed sweep
-     * can resume.
+     * to completion or fails appends exactly one binary record to
+     * this file, fsynced before its result is merged, so a killed
+     * sweep can resume.
      */
     std::string journalPath;
     /**

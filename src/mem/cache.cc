@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "chaos/seeded_bug.hh"
 #include "ckpt/snapshot.hh"
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -284,14 +283,6 @@ TimedCache::lookup(Addr addr, bool is_write, Cycle cycle)
     }
 
     ++misses_;
-    // Deliberately seeded defect (chaos/seeded_bug.hh): double-count
-    // misses in large caches. Stats-only — timing is untouched — so
-    // it breaks exactly one metamorphic invariant (growing a cache
-    // must not increase its miss count) and nothing else; the chaos
-    // campaign must detect it and shrink it to a minimal reproducer.
-    if (chaos::seededBugArmed() &&
-        params_.sizeBytes >= (std::uint64_t{8} << 20))
-        ++misses_;
     // New miss: the downstream request can start after the tag probe
     // (tags are on-chip even for the off-chip L2 design), subject to
     // MSHR availability.

@@ -6,7 +6,8 @@
  * point exactly once per invocation (resume is the retry), and
  * survive the injected kill-point fault — an abrupt std::_Exit
  * mid-run, modelling an OOM-kill — with the distinct exit code 86 and
- * a clean resume afterwards. Also covers per-point watchdog
+ * a clean resume afterwards, and refuse a v1 (JSONL) journal by
+ * name. Also covers per-point watchdog
  * escalation (an emergency checkpoint next to the journal) and the
  * fault/sweep-point context satellites of the crash report.
  */
@@ -17,6 +18,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -30,6 +33,7 @@
 #include "exp/sweep.hh"
 #include "model/fingerprint.hh"
 #include "model/perf_model.hh"
+#include "obs/run_obs.hh"
 #include "workload/workloads.hh"
 
 namespace s64v
@@ -330,6 +334,44 @@ TEST(ResumeSweep, StaleJournalEntriesAreIgnoredWithAWarning)
     ASSERT_TRUE(results[0].ok) << results[0].error;
     EXPECT_EQ(executed.load(), 1);
     EXPECT_NE(sink.find("no longer match"), std::string::npos) << sink;
+    std::remove(jpath.c_str());
+}
+
+TEST(ResumeSweep, V1JournalIsRefusedNamingTheFile)
+{
+    // A line as the JSONL (v1) journal wrote it. A journal is a resume
+    // log, not an archive: the v1 format is refused, not converted,
+    // and before any trace is synthesized.
+    const std::string jpath = tempPath("v1.journal");
+    {
+        std::ofstream out(jpath, std::ios::trunc);
+        out << "{\"v\":1,\"index\":0,\"label\":\"int/a\","
+               "\"status\":\"ok\"}\n";
+    }
+    const std::string flag = "--resume=" + jpath;
+    const char *argv[] = {"sweep", flag.c_str()};
+    obs::runObsOptions() = obs::ObsOptions{};
+    obs::parseObsArgs(2, argv);
+
+    std::atomic<int> executed{0};
+    exp::Sweep sweep = threePointSweep();
+    sweep.setMetricFn([&](PerfModel &, const SimResult &,
+                          std::map<std::string, double> &) {
+        ++executed;
+    });
+    setThrowOnError(true);
+    std::string what;
+    try {
+        (void)exp::SweepRunner().run(sweep);
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    setThrowOnError(false);
+    obs::runObsOptions() = obs::ObsOptions{};
+
+    EXPECT_NE(what.find(jpath), std::string::npos) << what;
+    EXPECT_NE(what.find("v1"), std::string::npos) << what;
+    EXPECT_EQ(executed.load(), 0);
     std::remove(jpath.c_str());
 }
 
