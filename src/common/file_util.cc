@@ -217,6 +217,25 @@ AppendFile::append(std::string_view data, std::string *err)
     return true;
 }
 
+bool
+AppendFile::truncate(std::uint64_t size, std::string *err)
+{
+    if (fd_ < 0) {
+        if (err)
+            *err = "truncate on closed file";
+        return false;
+    }
+    if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
+        setErr(err, "truncate " + path_);
+        return false;
+    }
+    if (::fsync(fd_) != 0) {
+        setErr(err, "fsync " + path_);
+        return false;
+    }
+    return true;
+}
+
 void
 AppendFile::close()
 {

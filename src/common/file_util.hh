@@ -90,6 +90,9 @@ class AppendFile
     /** Append @p data and fsync. @return success. */
     bool append(std::string_view data, std::string *err = nullptr);
 
+    /** Cut the file back to @p size bytes and fsync. @return success. */
+    bool truncate(std::uint64_t size, std::string *err = nullptr);
+
     bool isOpen() const { return fd_ >= 0; }
     const std::string &path() const { return path_; }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 
 namespace s64v
@@ -11,6 +12,8 @@ namespace s64v
 namespace
 {
 
+/** Guards logSink: sweep workers log concurrently. */
+std::mutex logSinkMutex;
 std::string *logSink = nullptr;
 /**
  * Per-thread: a sweep worker converts its own panics into exceptions
@@ -78,6 +81,7 @@ vformat(const char *fmt, va_list ap)
 void
 emit(const char *tag, const std::string &msg)
 {
+    std::lock_guard<std::mutex> lock(logSinkMutex);
     if (logSink) {
         *logSink += tag;
         *logSink += ": ";
@@ -105,6 +109,7 @@ logLevel()
 void
 setLogSink(std::string *sink)
 {
+    std::lock_guard<std::mutex> lock(logSinkMutex);
     logSink = sink;
 }
 

@@ -76,6 +76,7 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /**
  * Redirect warn()/inform() output into a string sink for tests; pass
  * nullptr to restore stderr. Error paths (panic/fatal) are unaffected.
+ * Appends are serialized, so sweep workers may log into one sink.
  */
 void setLogSink(std::string *sink);
 

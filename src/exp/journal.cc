@@ -185,6 +185,41 @@ decodeRecord(std::string_view bytes, JournalEntry &out)
     return kHeadBytes + len + kTailBytes;
 }
 
+/**
+ * Decode every valid record of @p bytes into @p entries, in order.
+ * After damage the walk resynchronises at the next magic; whether the
+ * damage was interior or the torn tail is known only once a later
+ * record decodes (or none does), so @p interior(offset, length) hears
+ * only of damage a valid record follows. @return the offset just past
+ * the last valid record (0 if there is none).
+ */
+template <typename OnInterior>
+std::size_t
+walkRecords(std::string_view bytes, std::vector<JournalEntry> &entries,
+            OnInterior &&interior)
+{
+    constexpr std::size_t kNoDamage = std::string_view::npos;
+    std::size_t damagedAt = kNoDamage;
+    std::size_t end = 0;
+    for (std::size_t pos = 0; pos < bytes.size();) {
+        JournalEntry e;
+        const std::size_t n = decodeRecord(bytes.substr(pos), e);
+        if (n == 0) {
+            damagedAt = std::min(damagedAt, pos);
+            pos = std::min(bytes.find(kMagic, pos + 1), bytes.size());
+            continue;
+        }
+        if (damagedAt != kNoDamage) {
+            interior(damagedAt, pos - damagedAt);
+            damagedAt = kNoDamage;
+        }
+        entries.push_back(std::move(e));
+        pos += n;
+        end = pos;
+    }
+    return end;
+}
+
 } // namespace
 
 std::string
@@ -242,7 +277,29 @@ RunJournal::open(const std::string &path, std::string *err)
 {
     appends_ = 0;
     dead_ = false;
-    return file_.open(path, err);
+    if (!file_.open(path, err))
+        return false;
+    // Cut a torn final append off before a new record buries it as
+    // interior damage. Only a record prefix is a torn append; other
+    // trailing bytes (a v1 or a foreign file) stay for load() to
+    // report, and so does damage that a valid record follows.
+    FileBytes file;
+    if (!readWholeFile(path, kMaxJournalBytes, file))
+        return true; // load() reports an unreadable or oversized file.
+    const std::string_view bytes(
+        reinterpret_cast<const char *>(file.data.get()), file.size);
+    std::vector<JournalEntry> entries;
+    const std::size_t end =
+        walkRecords(bytes, entries, [](std::size_t, std::size_t) {});
+    const std::string_view tail = bytes.substr(end);
+    std::string cutErr;
+    if (!tail.empty() &&
+        (tail.starts_with(kMagic) || kMagic.starts_with(tail)) &&
+        !file_.truncate(end, &cutErr)) {
+        warn("journal '%s': cannot cut its torn tail: %s", path.c_str(),
+             cutErr.c_str());
+    }
+    return true;
 }
 
 void
@@ -297,30 +354,14 @@ RunJournal::load(const std::string &path)
               path.c_str());
     }
 
-    // After damage, resynchronise at the next magic. Whether the
-    // damage was interior or the torn tail is known only once a later
-    // record decodes (or none does).
-    constexpr std::size_t kNoDamage = std::string_view::npos;
-    std::size_t damagedAt = kNoDamage;
-    for (std::size_t pos = 0; pos < bytes.size();) {
-        JournalEntry e;
-        const std::size_t n = decodeRecord(bytes.substr(pos), e);
-        if (n == 0) {
-            damagedAt = std::min(damagedAt, pos);
-            pos = std::min(bytes.find(kMagic, pos + 1), bytes.size());
-            continue;
-        }
-        if (damagedAt != kNoDamage) {
-            warn("journal '%s': skipped %zu damaged bytes at offset %zu; "
-                 "later records are intact",
-                 path.c_str(), pos - damagedAt, damagedAt);
-            damagedAt = kNoDamage;
-        }
-        entries.push_back(std::move(e));
-        pos += n;
-    }
+    walkRecords(bytes, entries, [&](std::size_t at, std::size_t len) {
+        warn("journal '%s': skipped %zu damaged bytes at offset %zu; "
+             "later records are intact",
+             path.c_str(), len, at);
+    });
     // Damage with no valid record after it is a torn final append,
-    // the normal crash signature: skipped without noise.
+    // the normal crash signature: skipped without noise (and cut off
+    // by the next open()).
     return entries;
 }
 

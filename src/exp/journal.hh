@@ -68,7 +68,9 @@ class RunJournal
   public:
     /**
      * Open @p path for appending (created if absent; an existing
-     * journal grows, which is what --resume wants). @return success.
+     * journal grows, which is what --resume wants). A torn final
+     * append is cut off first, so appending never turns it into
+     * interior damage. @return success.
      */
     bool open(const std::string &path, std::string *err = nullptr);
 
@@ -88,7 +90,8 @@ class RunJournal
      * file once (at most kMaxJournalBytes). A missing file is an empty
      * journal. After damage the loader resynchronises at the next
      * magic: damage with no valid record after it is a torn final
-     * append, the normal crash signature, and is skipped silently;
+     * append, the normal crash signature, and is skipped silently
+     * (open() cuts it off);
      * interior damage is skipped with a warning naming its byte
      * offset. fatal() on an unreadable or oversized file, and on a v1
      * (JSONL) journal.

@@ -12,7 +12,6 @@
 #include "check/signals.hh"
 #include "ckpt/snapshot.hh"
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "exp/journal.hh"
 #include "exp/self_profile.hh"
 #include "model/fingerprint.hh"
@@ -84,19 +83,13 @@ SweepRunner::effectiveMachine(const SweepPoint &point,
 {
     MachineParams machine = point.machine;
     machine.sys.warmupInstrs = point.instrs / 5;
-    if (opts_.heartbeatPeriod != 0 && machine.sys.heartbeatPeriod == 0)
-        machine.sys.heartbeatPeriod = opts_.heartbeatPeriod;
-    if (opts_.watchdogEscalate) {
-        machine.sys.watchdogEscalate = true;
-        if (machine.sys.emergencyCheckpointPath.empty()) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "point%zu.emergency.ckpt",
-                          index);
-            machine.sys.emergencyCheckpointPath =
-                opts_.journalPath.empty()
-                    ? std::string(buf)
-                    : opts_.journalPath + "." + buf;
-        }
+    if (obs::runObsOptions().watchdogEscalate &&
+        machine.sys.emergencyCheckpointPath.empty()) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "point%zu.emergency.ckpt", index);
+        machine.sys.emergencyCheckpointPath =
+            opts_.journalPath.empty() ? std::string(buf)
+                                      : opts_.journalPath + "." + buf;
     }
     return machine;
 }
@@ -140,19 +133,12 @@ SweepRunner::run(const Sweep &sweep)
         return results;
 
     // Flag-level defaults, mirroring the --threads pattern: a harness
-    // that sets nothing programmatically inherits --journal/--resume/
-    // --watchdog-escalate/--shuffle from the command line.
-    {
-        const obs::ObsOptions &oo = obs::runObsOptions();
-        if (opts_.journalPath.empty())
-            opts_.journalPath = oo.journalPath;
-        if (oo.resume)
-            opts_.resume = true;
-        if (oo.watchdogEscalate)
-            opts_.watchdogEscalate = true;
-        if (oo.shuffle)
-            opts_.shuffle = true;
-    }
+    // that sets nothing programmatically inherits --journal/--resume
+    // from the command line.
+    if (opts_.journalPath.empty())
+        opts_.journalPath = obs::runObsOptions().journalPath;
+    if (obs::runObsOptions().resume)
+        opts_.resume = true;
 
     // --- Durability: point keys, journal replay, write-ahead log ---
     // First of all, so a journal that load() refuses ends the run
@@ -242,25 +228,6 @@ SweepRunner::run(const Sweep &sweep)
     std::atomic<std::size_t> next{0};
     const MetricFn &metricFn = sweep.metricFn();
 
-    // Dispatch order. Per-point Rng streams were fixed during the
-    // serial trace synthesis above, so any permutation here yields
-    // bit-identical results; shuffling only varies which point runs
-    // on which worker when.
-    std::vector<std::size_t> order(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-        order[i] = i;
-    if (opts_.shuffle && points.size() > 1) {
-        const std::uint64_t base = obs::globalSeedSet()
-            ? obs::runObsOptions().seed
-            : 1;
-        Rng rng(mixSeeds(base, 0x73687566666c65ull)); // "shuffle"
-        for (std::size_t i = points.size() - 1; i > 0; --i) {
-            const std::size_t j =
-                static_cast<std::size_t>(rng.below(i + 1));
-            std::swap(order[i], order[j]);
-        }
-    }
-
     // One entry per run of a point, ok or failed. A stop request
     // cuts a running point at the next cycle boundary: its partial
     // result is reported but never becomes durable, so resume re-runs
@@ -284,37 +251,30 @@ SweepRunner::run(const Sweep &sweep)
         journal.append(e);
     };
 
-    auto pointDone = [&](const PointResult &r, bool executed) {
-        obs::noteSweepPointDone(
-            executed && r.ok ? r.sim.instructions : 0);
-        if (opts_.progressFn) {
-            const obs::SweepProgress sp = obs::sweepProgress();
-            opts_.progressFn(sp.done, sp.total, sp.kips());
-        }
-    };
-
     auto workerLoop = [&]() {
         for (;;) {
-            const std::size_t slot =
+            const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (slot >= points.size())
+            if (i >= points.size())
                 break;
-            const std::size_t i = order[slot];
+            // The progress board counts the instructions of the
+            // points this run executed, not of replayed ones.
             if (prefilled[i]) {
-                pointDone(results[i], /*executed=*/false);
+                obs::noteSweepPointDone(0);
                 continue;
             }
             if (check::stopRequested()) {
                 results[i].label = points[i].label;
                 results[i].error = "interrupted";
-                pointDone(results[i], false);
+                obs::noteSweepPointDone(0);
                 continue;
             }
             runPoint(points[i], i, *traceSets[i], metricFn,
                      results[i]);
             if (journalled)
                 journalPoint(i);
-            pointDone(results[i], true);
+            obs::noteSweepPointDone(
+                results[i].ok ? results[i].sim.instructions : 0);
         }
     };
 

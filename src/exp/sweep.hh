@@ -89,6 +89,14 @@ class Sweep
     MetricFn metricFn_;
 };
 
+/**
+ * What a caller sets for one sweep. Everything else a run needs comes
+ * from the process-wide obs::runObsOptions(), which every embedded
+ * point reads: heartbeat=N gives each point a heartbeat whose lines
+ * carry the sweep-progress suffix, and --watchdog-escalate gives each
+ * point an emergency-checkpoint path. An empty journalPath and a false
+ * resume defer to --journal= and --resume.
+ */
 struct SweepOptions
 {
     /**
@@ -97,21 +105,6 @@ struct SweepOptions
      * count. 1 runs every point inline on the calling thread.
      */
     unsigned threads = 0;
-    /**
-     * Heartbeat period propagated to every point whose machine does
-     * not set one (0 = leave the points alone). Embedded heartbeat
-     * lines carry the live sweep progress suffix (points done/total,
-     * aggregate KIPS; see obs::SweepProgress).
-     */
-    std::uint64_t heartbeatPeriod = 0;
-    /**
-     * Called on the finishing worker's thread after each point
-     * completes (ok, failed, or skipped-by-interrupt), with the
-     * points finished so far, the sweep size, and the aggregate host
-     * speed in KIPS. Must be thread-safe under multi-threaded sweeps.
-     */
-    std::function<void(std::size_t done, std::size_t total,
-                       double agg_kips)> progressFn;
     /**
      * Write-ahead run journal (empty = none): every point that runs
      * to completion or fails appends exactly one binary record to
@@ -129,24 +122,6 @@ struct SweepOptions
      * keys no longer match the sweep are ignored with a warning.
      */
     bool resume = false;
-    /**
-     * Dispatch points in a seeded-random order instead of point
-     * order (results still come back in point order; per-point Rng
-     * streams are dispatch-order independent, so shuffling never
-     * changes any result — chaos campaigns use it to shake out
-     * ordering assumptions). The permutation is derived from the
-     * process-wide --seed= (or a fixed default), so a given seed
-     * always dispatches in the same order. Defers to --shuffle.
-     */
-    bool shuffle = false;
-    /**
-     * Watchdog escalation: a hung point writes an emergency
-     * checkpoint ("<journal>.point<i>.emergency.ckpt", or
-     * "point<i>.emergency.ckpt" without a journal) before the
-     * watchdog kill, so the wedged machine state survives for
-     * offline dissection.
-     */
-    bool watchdogEscalate = false;
 };
 
 /**
@@ -178,8 +153,8 @@ class SweepRunner
 
   private:
     /** The machine a point actually runs: the standard warm-up
-     *  (warmupInstrs = instrs / 5, as in PerfModel::loadWorkload),
-     *  heartbeat and escalation conventions applied. Also what the
+     *  (warmupInstrs = instrs / 5, as in PerfModel::loadWorkload) and
+     *  the --watchdog-escalate checkpoint path applied. Also what the
      *  journal's config hash covers. */
     MachineParams effectiveMachine(const SweepPoint &point,
                                    std::size_t index) const;

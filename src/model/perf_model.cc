@@ -78,14 +78,6 @@ PerfModel::prepare()
 
     const obs::ObsOptions &opts = obs::runObsOptions();
     SystemParams sys = params_.sys;
-    if (!embedded_ && !opts.sampleOutPath.empty() &&
-        sys.samplePeriod == 0) {
-        sys.samplePeriod = opts.samplePeriod ? opts.samplePeriod
-                                             : kDefaultSamplePeriod;
-    }
-    if (!embedded_ && opts.heartbeatPeriod != 0 &&
-        sys.heartbeatPeriod == 0)
-        sys.heartbeatPeriod = opts.heartbeatPeriod;
     if (opts.watchdogCycles != obs::ObsOptions::kUnset)
         sys.watchdogCycles = opts.watchdogCycles;
     if (opts.skipAhead >= 0)
@@ -114,7 +106,6 @@ void
 PerfModel::attachObservers()
 {
     const obs::ObsOptions &opts = obs::runObsOptions();
-    const SystemParams &sys = system_->params();
 
     // The self-profiler is per-run state merged into a thread-safe
     // process aggregate, so unlike the file observers it also runs in
@@ -126,42 +117,35 @@ PerfModel::attachObservers()
         system_->attachProfiler(selfProfiler_.get());
     }
 
-    sampler_.reset();
-    if (embedded_) {
-        // File-output observers are per-process conveniences; N
-        // concurrent sweep points must not race on the same paths.
-        heartbeat_.reset();
-        trace_.reset();
-        pipeviews_.clear();
-        if (sys.heartbeatPeriod != 0) {
-            std::uint64_t expected = 0;
-            for (const auto &t : traces_)
-                expected += t->size();
-            heartbeat_ = std::make_unique<obs::Heartbeat>(expected);
-            system_->attachHeartbeat(heartbeat_.get());
-        }
-        return;
+    // The heartbeat writes whole log lines, so it too runs in
+    // embedded points; theirs carry the sweep-progress suffix.
+    heartbeat_.reset();
+    if (opts.heartbeatPeriod != 0) {
+        std::uint64_t expected = 0;
+        for (const auto &t : traces_)
+            expected += t->size();
+        heartbeat_ = std::make_unique<obs::Heartbeat>(
+            opts.heartbeatPeriod, expected);
+        system_->attachHeartbeat(heartbeat_.get());
     }
-    if (sys.samplePeriod != 0 && !opts.sampleOutPath.empty()) {
+
+    // File-output observers are per-process conveniences; N
+    // concurrent sweep points must not race on the same paths.
+    sampler_.reset();
+    trace_.reset();
+    pipeviews_.clear();
+    if (embedded_)
+        return;
+    if (!opts.sampleOutPath.empty()) {
         sampler_ = std::make_unique<obs::IntervalSampler>(
-            system_->root(), sys.samplePeriod);
+            system_->root(), opts.samplePeriod ? opts.samplePeriod
+                                               : kDefaultSamplePeriod);
         if (sampler_->openFile(opts.sampleOutPath))
             system_->attachSampler(sampler_.get());
         else
             sampler_.reset();
     }
 
-    heartbeat_.reset();
-    if (sys.heartbeatPeriod != 0) {
-        std::uint64_t expected = 0;
-        for (const auto &t : traces_)
-            expected += t->size();
-        heartbeat_ = std::make_unique<obs::Heartbeat>(expected);
-        system_->attachHeartbeat(heartbeat_.get());
-    }
-
-    trace_.reset();
-    pipeviews_.clear();
     if (!opts.traceOutPath.empty()) {
         trace_ = std::make_unique<obs::ChromeTraceWriter>();
         MemSystem &mem = system_->mem();

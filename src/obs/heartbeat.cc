@@ -78,10 +78,13 @@ sweepProgress()
     return out;
 }
 
-Heartbeat::Heartbeat(std::uint64_t expected_instrs)
-    : expectedInstrs_(expected_instrs), start_(Clock::now()),
-      lastWall_(start_)
+Heartbeat::Heartbeat(std::uint64_t period,
+                     std::uint64_t expected_instrs)
+    : period_(period), expectedInstrs_(expected_instrs),
+      start_(Clock::now()), lastWall_(start_)
 {
+    if (period_ == 0)
+        fatal("heartbeat: period must be nonzero");
 }
 
 void

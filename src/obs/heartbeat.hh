@@ -20,20 +20,24 @@ namespace s64v::obs
 
 /**
  * Emits one inform() line per beat. Attach to a System
- * (System::attachHeartbeat) and set SystemParams::heartbeatPeriod.
+ * (System::attachHeartbeat): its run loop beats it every period()
+ * cycles.
  */
 class Heartbeat
 {
   public:
     /**
+     * @param period cycles between beats (must be nonzero).
      * @param expected_instrs total instructions the run will commit
      *        (for the ETA estimate); 0 disables the ETA column.
      */
-    explicit Heartbeat(std::uint64_t expected_instrs = 0);
+    explicit Heartbeat(std::uint64_t period,
+                       std::uint64_t expected_instrs = 0);
 
     /** Report progress at @p cycle with @p instrs committed so far. */
     void beat(Cycle cycle, std::uint64_t instrs);
 
+    std::uint64_t period() const { return period_; }
     std::uint64_t beats() const { return beats_; }
 
     /** Host-side simulation speed of the last beat, in KIPS. */
@@ -42,6 +46,7 @@ class Heartbeat
   private:
     using Clock = std::chrono::steady_clock;
 
+    std::uint64_t period_;
     std::uint64_t expectedInstrs_;
     Clock::time_point start_;
     Clock::time_point lastWall_;

@@ -100,8 +100,6 @@ parseObsArgs(int argc, const char *const *argv)
         }
         else if (const char *v = matchFlag(arg, "seed"))
             opts.seed = std::strtoull(v, nullptr, 0);
-        else if (arg == "--shuffle" || arg == "shuffle")
-            opts.shuffle = true;
         else if (arg == "--no-skip-ahead" || arg == "no-skip-ahead")
             opts.skipAhead = 0;
         else if (const char *v = matchFlag(arg, "skip-ahead"))

@@ -5,7 +5,8 @@
  * flags — --stats-json=<path>, --trace-out=<path>,
  * --sample-out=<path>, sample-period=N, heartbeat=N, --threads=N —
  * parsed once into this global; PerfModel::run() consults it and
- * attaches the matching observers to every System it builds, and the
+ * attaches the matching observers to every System it builds (sweep
+ * points get the heartbeat but none of the file outputs), and the
  * sweep runner (exp/sweep.hh) reads `threads` to size its pool.
  */
 
@@ -68,8 +69,8 @@ struct ObsOptions
     std::string restorePath;        ///< restore this snapshot first.
     /** @} */
 
-    /** Sweep durability defaults (see exp::SweepOptions). @{ */
-    std::string journalPath;     ///< write-ahead run journal.
+    /** Sweep durability (see exp::SweepOptions). @{ */
+    std::string journalPath;     ///< default write-ahead run journal.
     bool resume = false;         ///< replay the journal first.
     bool watchdogEscalate = false; ///< emergency-checkpoint hung points.
     /** @} */
@@ -78,22 +79,13 @@ struct ObsOptions
      * Process-wide randomness seed (--seed=N; kUnset = none given).
      * When set, every source of randomness derives from it — workload
      * trace synthesis mixes it into each profile's own seed (see
-     * effectiveWorkloadSeed), sweep dispatch shuffling keys on it,
-     * and the chaos campaign engine seeds its fuzzer and fault storms
-     * from it — so a run or campaign point is replayable
-     * byte-for-byte from the one number. The effective seed is
-     * printed in stats JSON ("run.seed") and crash reports ("seed").
+     * effectiveWorkloadSeed), and the chaos campaign engine seeds its
+     * fuzzer and fault storms from it — so a run or campaign point is
+     * replayable byte-for-byte from the one number. The effective
+     * seed is printed in stats JSON ("run.seed") and crash reports
+     * ("seed").
      */
     std::uint64_t seed = kUnset;
-    /** Shuffle sweep dispatch order (seeded; results stay ordered). */
-    bool shuffle = false;
-
-    bool any() const
-    {
-        return !statsJsonPath.empty() || !traceOutPath.empty() ||
-            !pipeviewOutPath.empty() || !sampleOutPath.empty() ||
-            heartbeatPeriod != 0;
-    }
 };
 
 /** The process-wide options PerfModel::run() consults. */
@@ -125,9 +117,9 @@ std::uint64_t effectiveWorkloadSeed(std::uint64_t profile_seed);
  * the durability flags "checkpoint-at=<cycle>",
  * "checkpoint-out=<path>", "--checkpoint-stop", "restore=<path>",
  * "journal=<path>", "--resume" / "resume=<journal>", and
- * "--watchdog-escalate"; the randomness flags "seed=<n>" and
- * "--shuffle"; the engine flag "--no-skip-ahead" /
- * "skip-ahead=<0|1>" (plain reference loop vs fast engine).
+ * "--watchdog-escalate"; the randomness flag "seed=<n>"; the engine
+ * flag "--no-skip-ahead" / "skip-ahead=<0|1>" (plain reference loop
+ * vs fast engine).
  */
 std::vector<std::string> parseObsArgs(int argc, const char *const *argv);
 

@@ -24,9 +24,9 @@ namespace s64v::obs
 
 /**
  * Streams per-interval scalar deltas of a stats tree as JSONL.
- * Attach to a System (System::attachSampler) and set
- * SystemParams::samplePeriod; the run loop calls tick() each cycle
- * and finish() at the end of the run.
+ * Attach to a System (System::attachSampler): its run loop registers
+ * a periodic probe that calls tick() every period() cycles, and calls
+ * finish() at the end of the run.
  */
 class IntervalSampler
 {
@@ -45,9 +45,9 @@ class IntervalSampler
     bool openFile(const std::string &path);
 
     /**
-     * Called once per simulated cycle with the cycle number and the
-     * total instructions committed so far (all cores); emits a record
-     * whenever a period boundary is crossed.
+     * Called with the cycle number and the total instructions
+     * committed so far (all cores); emits a record when @p cycle is a
+     * nonzero multiple of the period.
      */
     void tick(Cycle cycle, std::uint64_t instrs);
 

@@ -142,8 +142,7 @@ System::run()
         // exactly the cycle the per-cycle loop would fire on.
         kernel_->attachPolledProbe([&](Cycle cycle) {
             if (watchdog->tick(cycle, totalRawCommitted())) {
-                if (params_.watchdogEscalate &&
-                    !params_.emergencyCheckpointPath.empty()) {
+                if (!params_.emergencyCheckpointPath.empty()) {
                     warn("watchdog fired; writing emergency "
                          "checkpoint to '%s'",
                          params_.emergencyCheckpointPath.c_str());
@@ -194,19 +193,21 @@ System::run()
             return false; // measurement window open; detach.
         });
     }
-    if (sampler_ && params_.samplePeriod != 0) {
+    if (sampler_) {
+        const std::uint64_t period = sampler_->period();
         kernel_->attachProbe(
-            phaseStart(params_.samplePeriod, start),
-            params_.samplePeriod, [this](Cycle cycle) {
+            phaseStart(period, start), period, [this](Cycle cycle) {
                 sampler_->tick(cycle, totalCommitted());
                 return true;
             });
     }
-    if (heartbeat_ && params_.heartbeatPeriod != 0) {
+    if (heartbeat_) {
+        // Raw commits: a progress count must not restart at the
+        // warm-up stats reset.
+        const std::uint64_t period = heartbeat_->period();
         kernel_->attachProbe(
-            phaseStart(params_.heartbeatPeriod, start),
-            params_.heartbeatPeriod, [this](Cycle cycle) {
-                heartbeat_->beat(cycle, totalCommitted());
+            phaseStart(period, start), period, [this](Cycle cycle) {
+                heartbeat_->beat(cycle, totalRawCommitted());
                 return true;
             });
     }
@@ -330,8 +331,8 @@ std::uint64_t
 System::totalRawCommitted() const
 {
     // The watchdog must not mistake the warm-up stats reset for a
-    // hundred-thousand-cycle commit drought, so it watches the raw
-    // counters, which are never cleared.
+    // hundred-thousand-cycle commit drought, nor the heartbeat for a
+    // restart, so both read the raw counters, which are never cleared.
     std::uint64_t total = 0;
     for (const auto &core : cores_)
         total += core->rawCommitted();

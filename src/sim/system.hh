@@ -58,14 +58,6 @@ struct SystemParams
      */
     std::uint64_t warmupInstrs = 0;
     /**
-     * Interval-sampling period in cycles (0 = off). When an
-     * IntervalSampler is attached, run() ticks it every this many
-     * cycles so per-interval stat deltas land in its JSONL stream.
-     */
-    std::uint64_t samplePeriod = 0;
-    /** Heartbeat-report period in cycles (0 = off). */
-    std::uint64_t heartbeatPeriod = 0;
-    /**
      * Watchdog threshold: panic when no core commits for this many
      * cycles and no in-flight fill is about to land (0 = disabled).
      * See check::Watchdog.
@@ -91,11 +83,10 @@ struct SystemParams
     /** Mid-run snapshot trigger (see CheckpointParams). */
     CheckpointParams checkpoint;
     /**
-     * Watchdog escalation: before the deadlock panic, write an
-     * emergency checkpoint to emergencyCheckpointPath so the hung
+     * Watchdog escalation, armed by a non-empty path: before the
+     * deadlock panic, write an emergency checkpoint here so the hung
      * machine state survives the kill and can be dissected offline.
      */
-    bool watchdogEscalate = false;
     std::string emergencyCheckpointPath;
 };
 
@@ -175,7 +166,7 @@ class System
     }
 
     /**
-     * Attach an interval sampler ticked every params().samplePeriod
+     * Attach an interval sampler, ticked every sampler->period()
      * cycles during run(). Pass nullptr to detach. The sampler must
      * outlive the run.
      */
@@ -184,7 +175,7 @@ class System
         sampler_ = sampler;
     }
 
-    /** Attach a heartbeat ticked every params().heartbeatPeriod. */
+    /** Attach a heartbeat, beating every heartbeat->period() cycles. */
     void attachHeartbeat(obs::Heartbeat *heartbeat)
     {
         heartbeat_ = heartbeat;
@@ -237,7 +228,7 @@ class System
 
   private:
     std::uint64_t totalCommitted() const;
-    /** Warm-up-reset-immune commit total (watchdog food). */
+    /** Warm-up-reset-immune commit total (watchdog, heartbeat). */
     std::uint64_t totalRawCommitted() const;
 
     SystemParams params_;

@@ -122,10 +122,9 @@ TEST(FlushOnce, PendingStopAtCycleZeroEmitsNoSample)
 {
     check::clearStopRequest();
     SystemParams sp;
-    sp.samplePeriod = 10;
     System sys(sp);
     sys.attachTrace(0, generateTrace(specint95Profile(), 5000));
-    obs::IntervalSampler sampler(sys.root(), sp.samplePeriod);
+    obs::IntervalSampler sampler(sys.root(), 10);
     std::ostringstream out;
     sampler.setOutput(&out);
     sys.attachSampler(&sampler);
@@ -144,10 +143,9 @@ TEST(FlushOnce, CycleCapEmitsEachSampleAndTheFinalFlushOnce)
 {
     SystemParams sp;
     sp.maxCycles = 50;
-    sp.samplePeriod = 10;
     System sys(sp);
     sys.attachTrace(0, generateTrace(specint95Profile(), 50000));
-    obs::IntervalSampler sampler(sys.root(), sp.samplePeriod);
+    obs::IntervalSampler sampler(sys.root(), 10);
     std::ostringstream out;
     sampler.setOutput(&out);
     sys.attachSampler(&sampler);

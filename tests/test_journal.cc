@@ -8,7 +8,8 @@
  * every single-bit flip loses exactly the damaged record, with a
  * warning when later records survive; a hostile length or count is
  * rejected without a large allocation; an oversized file is refused
- * before anything is allocated. The truncate-journal fault injection
+ * before anything is allocated. Opening a journal for append cuts a
+ * torn final record and nothing else. The truncate-journal fault injection
  * must tear exactly the configured append. The --journal/--resume
  * observability flags are parsed here too.
  */
@@ -265,6 +266,44 @@ TEST(Journal, CorruptInteriorRecordWarnsAndIsSkipped)
     EXPECT_NE(sink.find("offset " + std::to_string(record.size())),
               std::string::npos)
         << sink;
+    std::remove(path.c_str());
+}
+
+TEST(Journal, OpenCutsATornTailButNothingElse)
+{
+    const std::string path = tempPath("cut.journal");
+    const std::string record = exp::encodeJournalEntry(sampleEntry());
+    std::string damaged = record;
+    damaged[damaged.size() / 2] ^= 0x10;
+    const std::string v1 = "{\"v\":1,\"index\":0}\n";
+    struct Case
+    {
+        std::string bytes;
+        std::size_t keep; ///< bytes left after open().
+    };
+    const Case cases[] = {
+        // Torn appends: a prefix of a record, however short.
+        {record + record.substr(0, record.size() / 2), record.size()},
+        {record + record.substr(0, 3), record.size()},
+        {record.substr(0, 20), 0},
+        // Whole records, interior damage and foreign bytes stay.
+        {record + record, 2 * record.size()},
+        {record + damaged + record, 3 * record.size()},
+        {record + "garbage", record.size() + 7},
+        {v1, v1.size()},
+        {"", 0},
+    };
+    ScopedLogSink sink;
+    for (const Case &c : cases) {
+        writeFile(path, c.bytes);
+        {
+            exp::RunJournal journal;
+            ASSERT_TRUE(journal.open(path));
+        }
+        EXPECT_EQ(readFile(path), c.bytes.substr(0, c.keep))
+            << "input of " << c.bytes.size() << " bytes";
+    }
+    EXPECT_TRUE(sink.text.empty()) << sink.text;
     std::remove(path.c_str());
 }
 

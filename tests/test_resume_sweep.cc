@@ -7,11 +7,14 @@
  * survive the injected kill-point fault — an abrupt std::_Exit
  * mid-run, modelling an OOM-kill — with the distinct exit code 86 and
  * a clean resume afterwards, and refuse a v1 (JSONL) journal by
- * name. Also covers per-point watchdog
+ * name. A resume cuts a torn journal tail before it appends, so the
+ * next resume is silent, while a damaged middle record warns on every
+ * resume. Also covers per-point watchdog
  * escalation (an emergency checkpoint next to the journal) and the
  * fault/sweep-point context satellites of the crash report.
  */
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,6 +37,7 @@
 #include "model/fingerprint.hh"
 #include "model/perf_model.hh"
 #include "obs/run_obs.hh"
+#include "scoped_obs_options.hh"
 #include "workload/workloads.hh"
 
 namespace s64v
@@ -151,6 +155,113 @@ TEST(ResumeSweep, ResumeOfACompleteJournalRunsNothing)
     std::remove(jpath.c_str());
 }
 
+/** Size of @p path in bytes. */
+std::uint64_t
+fileSize(const std::string &path)
+{
+    struct stat st{};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return static_cast<std::uint64_t>(st.st_size);
+}
+
+/** Journal a complete threePointSweep() at @p jpath. @return the
+ *  byte size of each record, in order. */
+std::vector<std::size_t>
+writeThreePointJournal(const std::string &jpath)
+{
+    std::remove(jpath.c_str());
+    exp::SweepOptions opts;
+    opts.threads = 1;
+    opts.journalPath = jpath;
+    for (const exp::PointResult &r :
+         exp::SweepRunner(opts).run(threePointSweep()))
+        EXPECT_TRUE(r.ok) << r.error;
+    std::vector<std::size_t> sizes;
+    for (const exp::JournalEntry &e : exp::RunJournal::load(jpath))
+        sizes.push_back(exp::encodeJournalEntry(e).size());
+    EXPECT_EQ(sizes.size(), 3u);
+    return sizes;
+}
+
+TEST(ResumeSweep, TornTailIsCutSoTheNextResumeIsSilent)
+{
+    const std::string jpath = tempPath("torn_tail.journal");
+    const std::vector<std::size_t> sizes = writeThreePointJournal(jpath);
+    ASSERT_EQ(sizes.size(), 3u);
+    // A crash mid-append: the journal ends inside record 1.
+    ASSERT_EQ(::truncate(jpath.c_str(),
+                         static_cast<off_t>(sizes[0] + sizes[1] / 2)),
+              0);
+
+    exp::SweepOptions opts;
+    opts.threads = 1;
+    opts.journalPath = jpath;
+    opts.resume = true;
+    for (int pass = 0; pass < 2; ++pass) {
+        std::string sink;
+        setLogSink(&sink);
+        const auto res = exp::SweepRunner(opts).run(threePointSweep());
+        setLogSink(nullptr);
+        for (const exp::PointResult &r : res)
+            ASSERT_TRUE(r.ok) << r.error;
+        // The torn tail was cut before the first resume appended, so
+        // neither resume finds damage.
+        EXPECT_EQ(sink.find("warn"), std::string::npos)
+            << "resume " << pass << ": " << sink;
+        EXPECT_NE(sink.find(pass == 0 ? "1 of 3 points" : "3 of 3 points"),
+                  std::string::npos)
+            << sink;
+    }
+    // Record 0, then points 1 and 2 re-run: whole records only.
+    const auto entries = exp::RunJournal::load(jpath);
+    ASSERT_EQ(entries.size(), 3u);
+    std::uint64_t whole = 0;
+    for (const exp::JournalEntry &e : entries)
+        whole += exp::encodeJournalEntry(e).size();
+    EXPECT_EQ(fileSize(jpath), whole);
+    std::remove(jpath.c_str());
+}
+
+TEST(ResumeSweep, DamagedMiddleRecordStillWarns)
+{
+    const std::string jpath = tempPath("damaged_middle.journal");
+    const std::vector<std::size_t> sizes = writeThreePointJournal(jpath);
+    ASSERT_EQ(sizes.size(), 3u);
+    {
+        // Flip one byte in the middle of record 1.
+        std::fstream f(jpath,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        const auto at =
+            static_cast<std::streamoff>(sizes[0] + sizes[1] / 2);
+        f.seekg(at);
+        const char c = static_cast<char>(f.get() ^ 0x10);
+        f.seekp(at);
+        f.put(c);
+    }
+    const std::uint64_t damagedSize = fileSize(jpath);
+
+    exp::SweepOptions opts;
+    opts.threads = 1;
+    opts.journalPath = jpath;
+    opts.resume = true;
+    const std::string offset = "offset " + std::to_string(sizes[0]);
+    for (int pass = 0; pass < 2; ++pass) {
+        std::string sink;
+        setLogSink(&sink);
+        const auto res = exp::SweepRunner(opts).run(threePointSweep());
+        setLogSink(nullptr);
+        for (const exp::PointResult &r : res)
+            ASSERT_TRUE(r.ok) << r.error;
+        // Interior damage is never cut away: every resume reports it.
+        EXPECT_NE(sink.find(offset), std::string::npos)
+            << "resume " << pass << ": " << sink;
+    }
+    // The first resume re-ran point 1 and appended it after the
+    // damage; the second ran nothing.
+    EXPECT_EQ(fileSize(jpath), damagedSize + sizes[1]);
+    std::remove(jpath.c_str());
+}
+
 TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
 {
     const std::string jpath = tempPath("interrupt.journal");
@@ -161,7 +272,9 @@ TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
     // lands while point 1 is still running and point 2 undispatched.
     auto makeSweep = []() {
         exp::Sweep sweep;
-        sweep.add("short", sparc64vBase(), specint95Profile(), 6000);
+        MachineParams shortMachine = sparc64vBase();
+        shortMachine.name = "short";
+        sweep.add("short", shortMachine, specint95Profile(), 6000);
         sweep.add("long", sparc64vBase(), tpccProfile(), 30000);
         sweep.add("tail", sparc64vBase(), specint95Profile(), 6000);
         return sweep;
@@ -172,7 +285,7 @@ TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
     for (const exp::PointResult &r : reference)
         ASSERT_TRUE(r.ok) << r.error;
 
-    // A stop request lands after the first completion — the model of
+    // A stop request lands as point "short" finishes — the model of
     // SIGINT/SIGTERM mid-sweep (the signal handler calls exactly
     // this). The finished point is journalled exactly once; the
     // running point stops at the next cycle boundary and its PARTIAL
@@ -183,11 +296,13 @@ TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
     setLogSink(&sink);
     exp::SweepOptions opts = base;
     opts.journalPath = jpath;
-    opts.progressFn = [](std::size_t done, std::size_t, double) {
-        if (done == 1)
+    exp::Sweep stopped = makeSweep();
+    stopped.setMetricFn([](PerfModel &model, const SimResult &,
+                           std::map<std::string, double> &) {
+        if (model.params().name == "short")
             check::requestStop();
-    };
-    const auto killed = exp::SweepRunner(opts).run(makeSweep());
+    });
+    const auto killed = exp::SweepRunner(opts).run(stopped);
     check::clearStopRequest();
     setLogSink(nullptr);
 
@@ -464,10 +579,11 @@ TEST(ResumeSweep, WatchdogEscalationLeavesEmergencyCheckpoint)
     sick.sys.watchdogCycles = 2;
     sweep.add("sick", sick, tpccProfile(), 6000);
 
+    ScopedObsOptions restore;
+    obs::runObsOptions().watchdogEscalate = true;
     exp::SweepOptions opts;
     opts.threads = 1;
     opts.journalPath = jpath;
-    opts.watchdogEscalate = true;
     std::string sink;
     setLogSink(&sink);
     const auto results = exp::SweepRunner(opts).run(sweep);

@@ -1020,8 +1020,7 @@ TEST(Checkpoint, WatchdogEscalationWritesEmergencyCheckpoint)
 
     SystemParams sp = sparc64vBase().sys;
     sp.watchdogCycles = 2; // absurdly tight: fires immediately.
-    sp.watchdogEscalate = true;
-    sp.emergencyCheckpointPath = path;
+    sp.emergencyCheckpointPath = path; // the path arms escalation.
     System sys(sp);
     attachAll(sys, makeTraces(tpccProfile(), 1, 8000));
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Robustness tests for the sweep engine's failure-handling paths:
- * seeded-shuffle dispatch must not change any result, the mutex-held
- * triage sink must name every point that died in a parallel sweep,
+ * the mutex-held triage sink must name every point that died in a
+ * parallel sweep,
  * and the process-wide --seed= must be stamped into stats JSON and
  * crash reports so a run is replayable from its own outputs.
  */
@@ -23,6 +23,7 @@
 #include "obs/run_obs.hh"
 #include "obs/stats_export.hh"
 #include "sim/system.hh"
+#include "scoped_obs_options.hh"
 #include "workload/workloads.hh"
 
 namespace s64v
@@ -45,69 +46,6 @@ slurp(const std::string &path)
     std::ostringstream out;
     out << f.rdbuf();
     return out.str();
-}
-
-/** Save and restore the process-wide observability options. */
-class ScopedObsOptions
-{
-  public:
-    ScopedObsOptions() : saved_(obs::runObsOptions()) {}
-    ~ScopedObsOptions() { obs::runObsOptions() = saved_; }
-
-  private:
-    obs::ObsOptions saved_;
-};
-
-void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.measured, b.measured);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.warmupEndCycle, b.warmupEndCycle);
-}
-
-exp::Sweep
-mixedSweep()
-{
-    exp::Sweep sweep;
-    sweep.add("base-int", sparc64vBase(), specint95Profile(), kRun);
-    sweep.add("base-tpcc", sparc64vBase(), tpccProfile(), kRun);
-    sweep.add("narrow", withIssueWidth(sparc64vBase(), 2),
-              tpccProfile(), kRun);
-    sweep.add("small-l1", withSmallL1(sparc64vBase()),
-              specint95Profile(), kRun);
-    sweep.add("no-pf", withPrefetch(sparc64vBase(), false),
-              tpccProfile(), kRun);
-    sweep.add("base-fp", sparc64vBase(), specfp95Profile(), kRun);
-    return sweep;
-}
-
-TEST(SweepRobustness, ShuffledDispatchIsBitIdentical)
-{
-    ScopedObsOptions restore;
-    obs::runObsOptions().seed = 1234; // keys the permutation.
-    const exp::Sweep sweep = mixedSweep();
-
-    exp::SweepOptions plain;
-    plain.threads = 3;
-    const auto ordered = exp::SweepRunner(plain).run(sweep);
-
-    exp::SweepOptions shuffled = plain;
-    shuffled.shuffle = true;
-    const auto permuted = exp::SweepRunner(shuffled).run(sweep);
-
-    // Dispatch order changed; results (and their order) must not.
-    ASSERT_EQ(ordered.size(), sweep.size());
-    ASSERT_EQ(permuted.size(), sweep.size());
-    for (std::size_t i = 0; i < ordered.size(); ++i) {
-        ASSERT_TRUE(ordered[i].ok) << ordered[i].error;
-        ASSERT_TRUE(permuted[i].ok) << permuted[i].error;
-        EXPECT_EQ(ordered[i].label, sweep.points()[i].label);
-        EXPECT_EQ(permuted[i].label, ordered[i].label);
-        expectSameSim(ordered[i].sim, permuted[i].sim);
-    }
 }
 
 TEST(SweepRobustness, ParallelCrashTriageNamesEveryDeadPoint)

@@ -4,14 +4,14 @@
  * serial and parallel sweeps must produce identical SimResults point
  * for point, a panicking point must be reported per point without
  * killing the sweep, traces must be shared rather than re-synthesized,
- * and the cycle-cap outcome must be surfaced. The parallel cases also
+ * the cycle-cap outcome must be surfaced, and heartbeat=N must reach
+ * every point of a serial or parallel sweep. The parallel cases also
  * serve as the TSan workload for the sweep engine (see the "tsan"
  * test preset).
  */
 
-#include <algorithm>
-#include <atomic>
 #include <mutex>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,8 @@
 #include "model/fingerprint.hh"
 #include "model/perf_model.hh"
 #include "obs/heartbeat.hh"
+#include "obs/run_obs.hh"
+#include "scoped_obs_options.hh"
 #include "workload/workloads.hh"
 
 namespace s64v
@@ -176,29 +178,31 @@ TEST(SweepRunner, EffectiveThreadsClampsToPointCount)
 
 TEST(SweepRunner, ProgressCallbackSeesEveryPoint)
 {
+    // A MetricFn runs on the worker as each point finishes, before
+    // the board counts it.
     std::mutex mutex;
-    std::vector<std::size_t> done_values;
-    std::size_t total_seen = 0;
-    std::atomic<unsigned> calls{0};
-
+    std::vector<obs::SweepProgress> snaps;
+    exp::Sweep sweep = smallSweep();
+    sweep.setMetricFn([&](PerfModel &, const SimResult &,
+                          std::map<std::string, double> &) {
+        const obs::SweepProgress sp = obs::sweepProgress();
+        std::lock_guard<std::mutex> lock(mutex);
+        snaps.push_back(sp);
+    });
     exp::SweepOptions opts;
     opts.threads = 2;
-    opts.progressFn = [&](std::size_t done, std::size_t total,
-                          double agg_kips) {
-        std::lock_guard<std::mutex> lock(mutex);
-        done_values.push_back(done);
-        total_seen = total;
-        EXPECT_GE(agg_kips, 0.0);
-        ++calls;
-    };
-    const auto results = exp::SweepRunner(opts).run(smallSweep());
+    const auto results = exp::SweepRunner(opts).run(sweep);
     ASSERT_EQ(results.size(), 4u);
 
-    EXPECT_EQ(calls.load(), 4u);
-    EXPECT_EQ(total_seen, 4u);
-    // done is cumulative; the final callback reports the full sweep.
-    std::sort(done_values.begin(), done_values.end());
-    EXPECT_EQ(done_values, (std::vector<std::size_t>{1, 2, 3, 4}));
+    ASSERT_EQ(snaps.size(), 4u);
+    for (const obs::SweepProgress &sp : snaps) {
+        EXPECT_TRUE(sp.active);
+        EXPECT_EQ(sp.total, 4u);
+        EXPECT_LT(sp.done, 4u);
+        EXPECT_GE(sp.kips(), 0.0);
+    }
+    // The closed board has counted every point.
+    EXPECT_EQ(obs::sweepProgress().done, 4u);
 }
 
 TEST(SweepRunner, ProgressBoardTracksLiveSweep)
@@ -206,49 +210,93 @@ TEST(SweepRunner, ProgressBoardTracksLiveSweep)
     // Outside a sweep the board is inactive.
     EXPECT_FALSE(obs::sweepProgress().active);
 
-    obs::SweepProgress snap;
-    exp::SweepOptions opts;
-    opts.threads = 1;
-    opts.progressFn = [&](std::size_t, std::size_t, double) {
-        snap = obs::sweepProgress();
-    };
+    std::vector<obs::SweepProgress> snaps;
     exp::Sweep sweep;
     sweep.add("a", sparc64vBase(), specint95Profile(), 6000);
     sweep.add("b", sparc64vBase(), specint95Profile(), 6000);
+    sweep.setMetricFn([&](PerfModel &, const SimResult &,
+                          std::map<std::string, double> &) {
+        snaps.push_back(obs::sweepProgress());
+    });
+    exp::SweepOptions opts;
+    opts.threads = 1;
     const auto results = exp::SweepRunner(opts).run(sweep);
+    ASSERT_TRUE(results[0].ok);
     ASSERT_TRUE(results[1].ok);
+    ASSERT_EQ(snaps.size(), 2u);
 
-    // The mid-sweep snapshot: active, counting points and committed
-    // instructions, with wall time advancing.
-    EXPECT_TRUE(snap.active);
-    EXPECT_EQ(snap.done, 2u);
-    EXPECT_EQ(snap.total, 2u);
-    EXPECT_EQ(snap.instrs,
-              results[0].sim.instructions +
-                  results[1].sim.instructions);
-    EXPECT_GE(snap.seconds, 0.0);
-    // run() closes the board on the way out.
-    EXPECT_FALSE(obs::sweepProgress().active);
+    // The snapshot as point "b" finishes: active, counting point "a"
+    // and its committed instructions, with wall time advancing.
+    EXPECT_TRUE(snaps[1].active);
+    EXPECT_EQ(snaps[1].done, 1u);
+    EXPECT_EQ(snaps[1].total, 2u);
+    EXPECT_EQ(snaps[1].instrs, results[0].sim.instructions);
+    EXPECT_GE(snaps[1].seconds, snaps[0].seconds);
+    // run() closes the board on the way out, with both points counted.
+    const obs::SweepProgress end = obs::sweepProgress();
+    EXPECT_FALSE(end.active);
+    EXPECT_EQ(end.done, 2u);
+    EXPECT_EQ(end.instrs, results[0].sim.instructions +
+                              results[1].sim.instructions);
+}
+
+/** Count the log lines carrying the sweep-progress heartbeat suffix. */
+std::size_t
+sweepHeartbeats(const std::string &log)
+{
+    std::size_t n = 0;
+    std::istringstream lines(log);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("heartbeat:") != std::string::npos &&
+            line.find(" pts, ") != std::string::npos &&
+            line.find("KIPS agg") != std::string::npos)
+            ++n;
+    }
+    return n;
 }
 
 TEST(SweepRunner, HeartbeatPropagatesAndCarriesSweepSuffix)
 {
+    ScopedObsOptions restore;
+    obs::runObsOptions().heartbeatPeriod = 500; // several beats/point.
     std::string sink;
     setLogSink(&sink);
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.heartbeatPeriod = 500; // cycles: several beats per point.
     exp::Sweep sweep;
     sweep.add("hb", sparc64vBase(), specint95Profile(), 8000);
     const auto results = exp::SweepRunner(opts).run(sweep);
     setLogSink(nullptr);
     ASSERT_TRUE(results[0].ok) << results[0].error;
 
-    // The embedded point inherited the heartbeat period, and its
-    // lines carry the live sweep-progress suffix.
-    EXPECT_NE(sink.find("heartbeat:"), std::string::npos) << sink;
+    // The embedded point took the heartbeat=N period, and its lines
+    // carry the live sweep-progress suffix.
     EXPECT_NE(sink.find("sweep 0/1 pts"), std::string::npos) << sink;
-    EXPECT_NE(sink.find("KIPS agg"), std::string::npos) << sink;
+    EXPECT_GT(sweepHeartbeats(sink), 1u) << sink;
+}
+
+TEST(SweepRunner, CliHeartbeatReachesEveryParallelPoint)
+{
+    // heartbeat=N on a 2-worker sweep: both workers beat into one log
+    // sink at once (the TSan preset runs this), and every point beats.
+    ScopedObsOptions restore;
+    obs::runObsOptions().heartbeatPeriod = 1000;
+    std::string sink;
+    setLogSink(&sink);
+    exp::SweepOptions opts;
+    opts.threads = 2;
+    const auto results = exp::SweepRunner(opts).run(smallSweep());
+    setLogSink(nullptr);
+
+    // A point beats once per 1000 cycles of its whole run, which is
+    // at least as long as its measured window.
+    std::uint64_t atLeast = 0;
+    for (const exp::PointResult &r : results) {
+        ASSERT_TRUE(r.ok) << r.error;
+        atLeast += r.sim.cycles / 1000;
+    }
+    EXPECT_GT(atLeast, 0u);
+    EXPECT_GE(sweepHeartbeats(sink), atLeast) << sink;
 }
 
 TEST(TracePool, SynthesizesEachDistinctWorkloadOnce)

@@ -3,12 +3,18 @@
  * Warm-up window semantics: statistics reset after the warm-up
  * commits, measured-window accounting, and the interaction with
  * trace sampling (the paper's steady-state measurement discipline).
+ * Progress counts (the heartbeat) run on across the reset.
  */
+
+#include <cstdio>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
 #include "golden/reverse_tracer.hh"
+#include "obs/heartbeat.hh"
 #include "sim/system.hh"
 #include "trace/filters.hh"
 #include "workload/generator.hh"
@@ -36,6 +42,40 @@ TEST(Warmup, MeasuredWindowExcludesWarmup)
     EXPECT_NEAR(res.ipc,
                 static_cast<double>(res.measured) / res.cycles,
                 1e-9);
+}
+
+TEST(Warmup, HeartbeatCountsDoNotRestartAtTheReset)
+{
+    SystemParams sp;
+    sp.warmupInstrs = 5000;
+    System sys(sp);
+    sys.attachTrace(0, generateTrace(specint95Profile(), 20000));
+    obs::Heartbeat hb(/*period=*/500, /*expected_instrs=*/20000);
+    sys.attachHeartbeat(&hb);
+    std::string sink;
+    setLogSink(&sink);
+    const SimResult res = sys.run();
+    setLogSink(nullptr);
+
+    // The warm-up reset clears the statistics, not the progress
+    // count: no beat reports fewer instructions than the one before.
+    std::istringstream lines(sink);
+    std::uint64_t beats = 0, before = 0, after = 0, lastInstrs = 0;
+    for (std::string line; std::getline(lines, line);) {
+        unsigned long long cycle = 0, instrs = 0;
+        if (std::sscanf(line.c_str(),
+                        "info: heartbeat: cycle %llu, %llu instrs",
+                        &cycle, &instrs) != 2)
+            continue;
+        ++beats;
+        (cycle < res.warmupEndCycle ? before : after) += 1;
+        EXPECT_GE(instrs, lastInstrs) << line;
+        lastInstrs = instrs;
+    }
+    EXPECT_EQ(beats, hb.beats());
+    EXPECT_GT(before, 0u);
+    EXPECT_GT(after, 0u);
+    EXPECT_LE(lastInstrs, res.instructions);
 }
 
 TEST(Warmup, ZeroWarmupMeasuresEverything)
